@@ -1,41 +1,37 @@
-// Intra-request parallelism at 10^5..10^6-node scale. Four phases:
+// Scheduling at 10^5..10^6-node scale, one request on one thread. Three
+// phases:
 //
-//   identity — full-result fingerprints at lanes {2, 4, auto} x every
-//              registered scheduler on a medium layered graph must equal the
-//              serial fingerprint bit-for-bit. Hard gate on every host: the
-//              parallel paths are only allowed to be faster, never different.
 //   alloc    — arena heap-block audit of one 10^5-node request: scheduling
 //              must cost at most STS_HUGE_MAX_ARENA_BLOCKS (default 64)
 //              arena blocks, i.e. O(log n) heap traffic instead of per-node
 //              allocations. Hard gate on every host.
-//   latency  — best-of-N streaming-rlx schedule latency on the 10^5-node
-//              graph at 1 lane vs 4 lanes. The speedup gates at
-//              STS_HUGE_SPEEDUP_MIN (default 2.0) only on hosts with >= 4
-//              hardware threads; elsewhere (laptops pinned to a core, CI
-//              containers) it is reported but cannot gate.
-//   mega     — one 10^6-node schedule at auto lanes, reported only; skipped
-//              in smoke mode (STS_BENCH_GRAPHS set) where it would dominate
-//              the job's wall time.
+//   latency  — streaming-rlx schedule latency on the 10^5-node graph over
+//              kLatencyRepeats runs, reported as median, min, max and
+//              relative spread ((max - min) / median). The median gates at
+//              kLatencyMedianMaxSeconds: the heap-based partitioner makes
+//              the request O((n + E) log n), while a linear ready-set scan
+//              per pick takes 3.9-5.1 s here, so the bound catches a
+//              return to per-pick rescans.
+//   mega     — one 10^6-node schedule, reported only; skipped in smoke mode
+//              (STS_BENCH_GRAPHS set) where it would dominate the job's wall
+//              time.
 //
-// Graphs come from a bounded fan-in layered generator (each node samples a
-// constant number of predecessors), so building a 10^6-node topology is
-// O(nodes), unlike LayeredSpec's per-pair coin flips. Writes
+// Graphs come from make_fanin_layered (each node samples a constant number
+// of predecessors), so building a 10^6-node topology is O(nodes). Writes
 // BENCH_huge_graph.json; exits non-zero on any gate failure.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "pipeline/registry.hpp"
-#include "pipeline/result_fingerprint.hpp"
 #include "support/arena.hpp"
-#include "support/parallel.hpp"
-#include "support/prng.hpp"
+#include "support/stats.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -44,36 +40,8 @@ using namespace sts;
 using bench::BenchReport;
 using bench::Stopwatch;
 
-/// Layered DAG with exactly `width` nodes per layer and `fan_in` sampled
-/// predecessors per non-entry node (deduplicated, so a node may end up with
-/// fewer). O(layers * width * fan_in) — scales to 10^6 nodes.
-TaskGraph make_huge_layered(int layers, int width, int fan_in, std::uint64_t seed) {
-  Prng rng(seed ^ 0x5851f42d4c957f2dULL);
-  const std::int64_t nodes = static_cast<std::int64_t>(layers) * width;
-  std::vector<std::pair<std::int32_t, std::int32_t>> edges;
-  edges.reserve(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(fan_in));
-  for (int l = 1; l < layers; ++l) {
-    const std::int32_t prev_base = static_cast<std::int32_t>((l - 1) * width);
-    const std::int32_t base = static_cast<std::int32_t>(l * width);
-    for (std::int32_t v = base; v < base + width; ++v) {
-      for (int k = 0; k < fan_in; ++k) {
-        edges.emplace_back(prev_base + static_cast<std::int32_t>(rng.uniform_int(0, width - 1)),
-                           v);
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return canonical_from_topology(static_cast<std::int32_t>(nodes), edges, seed);
-}
-
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
-  }
-  return fallback;
-}
+constexpr int kLatencyRepeats = 5;
+constexpr double kLatencyMedianMaxSeconds = 1.5;
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {
   if (const char* env = std::getenv(name)) {
@@ -83,32 +51,18 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return fallback;
 }
 
-std::uint64_t fingerprint_at(const std::string& scheduler, const TaskGraph& graph,
-                             std::int64_t pes, std::int64_t lanes) {
+/// Wall time of one streaming-rlx request; exits on a non-positive makespan.
+double schedule_seconds(const TaskGraph& graph, std::int64_t pes) {
   MachineConfig machine;
   machine.num_pes = pes;
-  machine.intra_threads = lanes;
-  return result_fingerprint(schedule_by_name(scheduler, graph, machine));
-}
-
-double schedule_seconds(const TaskGraph& graph, std::int64_t pes, std::int64_t lanes,
-                        int repeats) {
-  MachineConfig machine;
-  machine.num_pes = pes;
-  machine.intra_threads = lanes;
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    const Stopwatch watch;
-    const ScheduleResult result = schedule_by_name("streaming-rlx", graph, machine);
-    const double t = watch.seconds();
-    if (result.makespan <= 0) {
-      std::fprintf(stderr, "huge_graph: non-positive makespan at lanes=%lld\n",
-                   static_cast<long long>(lanes));
-      std::exit(1);
-    }
-    if (r == 0 || t < best) best = t;
+  const Stopwatch watch;
+  const ScheduleResult result = schedule_by_name("streaming-rlx", graph, machine);
+  const double seconds = watch.seconds();
+  if (result.makespan <= 0) {
+    std::fprintf(stderr, "huge_graph: non-positive makespan\n");
+    std::exit(1);
   }
-  return best;
+  return seconds;
 }
 
 // Process-wide arena heap accounting for the alloc phase.
@@ -123,55 +77,24 @@ void count_arena_block(std::size_t bytes) noexcept {
 
 int main() {
   const bool smoke = std::getenv("STS_BENCH_GRAPHS") != nullptr;
-  const int repeats = smoke ? 2 : 3;
-  const unsigned hw = std::thread::hardware_concurrency();
   BenchReport report("huge_graph");
-  report.add("hardware_threads", static_cast<std::int64_t>(hw));
-  report.add("pool_workers", static_cast<std::int64_t>(TaskPool::global().worker_count()));
   report.add("smoke", std::string(smoke ? "yes" : "no"));
   bool failed = false;
 
-  // ------------------------------------------------------- phase 1: identity
-  {
-    const TaskGraph medium = make_huge_layered(12, 60, 3, 17);
-    std::int64_t mismatches = 0;
-    std::int64_t combos = 0;
-    for (const std::string& scheduler : SchedulerRegistry::instance().names()) {
-      std::uint64_t serial = 0;
-      try {
-        serial = fingerprint_at(scheduler, medium, 16, 1);
-      } catch (const std::invalid_argument&) {
-        continue;  // scheduler rejects this graph class regardless of lanes
-      }
-      for (const std::int64_t lanes : {2, 4, 0}) {
-        ++combos;
-        if (fingerprint_at(scheduler, medium, 16, lanes) != serial) {
-          ++mismatches;
-          std::fprintf(stderr, "huge_graph: fingerprint mismatch: %s lanes=%lld\n",
-                       scheduler.c_str(), static_cast<long long>(lanes));
-        }
-      }
-    }
-    report.add("identity_combos", combos);
-    report.add("identity_mismatches", mismatches);
-    if (combos < 9 || mismatches != 0) failed = true;
-  }
-
   // ------------------------------------------------- build the 10^5 workload
   const Stopwatch gen_watch;
-  const TaskGraph huge = make_huge_layered(50, 2000, 4, 23);
+  const TaskGraph huge = make_fanin_layered(50, 2000, 4, 23);
   report.add("huge_nodes", static_cast<std::int64_t>(huge.node_count()));
   report.add("huge_edges", static_cast<std::int64_t>(huge.edge_count()));
   report.add("huge_gen_seconds", gen_watch.seconds());
 
-  // ---------------------------------------------------------- phase 2: alloc
+  // ---------------------------------------------------------- phase 1: alloc
   {
     Arena::set_heap_hook(&count_arena_block);
     g_arena_blocks.store(0);
     g_arena_bytes.store(0);
     MachineConfig machine;
     machine.num_pes = 64;
-    machine.intra_threads = 4;
     const ScheduleResult result = schedule_by_name("streaming-rlx", huge, machine);
     Arena::set_heap_hook(nullptr);
     const std::int64_t blocks = g_arena_blocks.load();
@@ -189,37 +112,39 @@ int main() {
     }
   }
 
-  // -------------------------------------------------------- phase 3: latency
+  // -------------------------------------------------------- phase 2: latency
   {
-    const double t1 = schedule_seconds(huge, 64, 1, repeats);
-    const double t4 = schedule_seconds(huge, 64, 4, repeats);
-    const double speedup = t4 > 0.0 ? t1 / t4 : 0.0;
-    const double speedup_min = env_double("STS_HUGE_SPEEDUP_MIN", 2.0);
-    const bool enforce = hw >= 4;
-    report.add("latency_seconds_1lane", t1);
-    report.add("latency_seconds_4lane", t4);
-    report.add("latency_speedup_4lane", speedup);
-    report.add("latency_speedup_min", speedup_min);
-    report.add("latency_gate_enforced", std::string(enforce ? "yes" : "no"));
-    std::printf("huge_graph: %lld nodes, 1-lane %.3fs, 4-lane %.3fs, speedup %.2fx\n",
-                static_cast<long long>(huge.node_count()), t1, t4, speedup);
-    if (enforce && speedup < speedup_min) {
-      std::fprintf(stderr, "huge_graph: speedup %.2fx below the %.2fx gate on %u threads\n",
-                   speedup, speedup_min, hw);
+    std::vector<double> samples;
+    for (int r = 0; r < kLatencyRepeats; ++r) samples.push_back(schedule_seconds(huge, 64));
+    const double median = median_of(samples);
+    const double lo = *std::min_element(samples.begin(), samples.end());
+    const double hi = *std::max_element(samples.begin(), samples.end());
+    const double spread = median > 0.0 ? (hi - lo) / median : 0.0;
+    report.add("latency_repeats", kLatencyRepeats);
+    report.add("latency_seconds_median", median);
+    report.add("latency_seconds_min", lo);
+    report.add("latency_seconds_max", hi);
+    report.add("latency_relative_spread", spread);
+    report.add("latency_seconds_median_max", kLatencyMedianMaxSeconds);
+    std::printf("huge_graph: %lld nodes, streaming-rlx median %.3fs (min %.3fs, max %.3fs, "
+                "spread %.1f%%) over %d runs\n",
+                static_cast<long long>(huge.node_count()), median, lo, hi, 100.0 * spread,
+                kLatencyRepeats);
+    if (median > kLatencyMedianMaxSeconds) {
+      std::fprintf(stderr, "huge_graph: median latency %.3fs exceeds the %.2fs gate\n", median,
+                   kLatencyMedianMaxSeconds);
       failed = true;
-    } else if (!enforce) {
-      std::printf("huge_graph: < 4 hardware threads, speedup reported but not enforced\n");
     }
   }
 
-  // ----------------------------------------------------------- phase 4: mega
+  // ----------------------------------------------------------- phase 3: mega
   if (!smoke) {
     const Stopwatch mega_gen;
-    const TaskGraph mega = make_huge_layered(100, 10'000, 3, 29);
+    const TaskGraph mega = make_fanin_layered(100, 10'000, 3, 29);
     report.add("mega_nodes", static_cast<std::int64_t>(mega.node_count()));
     report.add("mega_edges", static_cast<std::int64_t>(mega.edge_count()));
     report.add("mega_gen_seconds", mega_gen.seconds());
-    report.add("mega_seconds_auto", schedule_seconds(mega, 256, 0, 1));
+    report.add("mega_seconds", schedule_seconds(mega, 256));
   }
 
   report.add("status", std::string(failed ? "fail" : "ok"));

@@ -20,7 +20,6 @@
 // seconds; the gates still run. Writes BENCH_incremental.json; exits non-zero
 // on any gate failure.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +33,6 @@
 #include "pipeline/registry.hpp"
 #include "pipeline/result_fingerprint.hpp"
 #include "pipeline/subgraph_cache.hpp"
-#include "support/prng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -49,28 +47,6 @@ double env_double(const char* name, double fallback) {
     if (v > 0.0) return v;
   }
   return fallback;
-}
-
-/// Bounded fan-in layered component (same shape as bench_huge_graph's
-/// generator: O(layers * width * fan_in) to build).
-TaskGraph make_component(int layers, int width, int fan_in, std::uint64_t seed) {
-  Prng rng(seed ^ 0x5851f42d4c957f2dULL);
-  const auto nodes = static_cast<std::int32_t>(layers * width);
-  std::vector<std::pair<std::int32_t, std::int32_t>> edges;
-  edges.reserve(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(fan_in));
-  for (int l = 1; l < layers; ++l) {
-    const auto prev_base = static_cast<std::int32_t>((l - 1) * width);
-    const auto base = static_cast<std::int32_t>(l * width);
-    for (std::int32_t v = base; v < base + width; ++v) {
-      for (int k = 0; k < fan_in; ++k) {
-        edges.emplace_back(prev_base + static_cast<std::int32_t>(rng.uniform_int(0, width - 1)),
-                           v);
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return canonical_from_topology(nodes, edges, seed);
 }
 
 /// Appends `part` to `g` as an independent connected component, preserving
@@ -133,7 +109,7 @@ int main() {
   // ------------------------------------------------------- phase 1: identity
   {
     TaskGraph medium;
-    for (int c = 0; c < 6; ++c) append_component(medium, make_component(6, 8, 2, 40 + c));
+    for (int c = 0; c < 6; ++c) append_component(medium, make_fanin_layered(6, 8, 2, 40 + c));
     std::int64_t combos = 0;
     std::int64_t mismatches = 0;
     for (const std::string& scheduler : SchedulerRegistry::instance().names()) {
@@ -169,7 +145,7 @@ int main() {
   const Stopwatch gen_watch;
   TaskGraph big;
   for (int c = 0; c < big_components; ++c) {
-    append_component(big, make_component(big_layers, big_width, 3, 1000 + c));
+    append_component(big, make_fanin_layered(big_layers, big_width, 3, 1000 + c));
   }
   report.add("delta_nodes", static_cast<std::int64_t>(big.node_count()));
   report.add("delta_edges", static_cast<std::int64_t>(big.edge_count()));
@@ -264,13 +240,15 @@ int main() {
     const int comp_width = smoke ? 6 : 24;
     std::vector<TaskGraph> pool;
     pool.reserve(pool_size);
-    for (int c = 0; c < pool_size; ++c) pool.push_back(make_component(comp_layers, comp_width, 3, 7000 + c));
+    for (int c = 0; c < pool_size; ++c) {
+      pool.push_back(make_fanin_layered(comp_layers, comp_width, 3, 7000 + c));
+    }
     std::vector<TaskGraph> stream;
     stream.reserve(static_cast<std::size_t>(stream_len));
     for (int i = 0; i < stream_len; ++i) {
       TaskGraph g;
       for (int k = 0; k < 9; ++k) append_component(g, pool[static_cast<std::size_t>((i + k) % pool_size)]);
-      append_component(g, make_component(comp_layers, comp_width, 3, 9000 + i));
+      append_component(g, make_fanin_layered(comp_layers, comp_width, 3, 9000 + i));
       stream.push_back(std::move(g));
     }
 

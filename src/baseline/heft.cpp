@@ -21,44 +21,24 @@ double HeterogeneousSystem::mean_duration(std::int64_t work) const {
 }
 
 std::vector<double> upward_ranks(const TaskGraph& graph, const HeterogeneousSystem& system) {
-  return upward_ranks(graph, system, nullptr);
-}
-
-std::vector<double> upward_ranks(const TaskGraph& graph, const HeterogeneousSystem& system,
-                                 Workspace* ws) {
   std::vector<double> rank(graph.node_count(), 0.0);
-  // Reverse Kahn waves: successors live in strictly earlier waves, so ranks
-  // within one wave are independent; each node runs the exact same double
-  // operations as the serial sweep, keeping results bit-identical.
-  const TopoWaves waves = topological_waves(graph, /*reverse=*/true);
-  const Parallel parallel = ws ? ws->parallel : Parallel();
-  for (std::size_t w = 0; w + 1 < waves.offsets.size(); ++w) {
-    const std::size_t begin = waves.offsets[w];
-    const std::size_t end = waves.offsets[w + 1];
-    parallel.for_range(static_cast<std::int64_t>(end - begin), 128,
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i) {
-                           const NodeId v = waves.order[begin + static_cast<std::size_t>(i)];
-                           double succ_max = 0.0;
-                           for (const EdgeId e : graph.out_edges(v)) {
-                             succ_max = std::max(
-                                 succ_max, rank[static_cast<std::size_t>(graph.edge(e).dst)]);
-                           }
-                           rank[static_cast<std::size_t>(v)] =
-                               system.mean_duration(graph.work(v)) + succ_max;
-                         }
-                       });
+  // Reverse Kahn waves: every successor of a node settles first.
+  for (const NodeId v : topological_waves(graph, /*reverse=*/true).order) {
+    double succ_max = 0.0;
+    for (const EdgeId e : graph.out_edges(v)) {
+      succ_max = std::max(succ_max, rank[static_cast<std::size_t>(graph.edge(e).dst)]);
+    }
+    rank[static_cast<std::size_t>(v)] = system.mean_duration(graph.work(v)) + succ_max;
   }
   return rank;
 }
 
-ListSchedule schedule_heft(const TaskGraph& graph, const HeterogeneousSystem& system,
-                           Workspace* ws) {
+ListSchedule schedule_heft(const TaskGraph& graph, const HeterogeneousSystem& system) {
   if (system.pe_count() <= 0) throw std::invalid_argument("schedule_heft: no PEs");
   ListSchedule sched;
   sched.entries.assign(graph.node_count(), ListScheduleEntry{});
 
-  const std::vector<double> rank = upward_ranks(graph, system, ws);
+  const std::vector<double> rank = upward_ranks(graph, system);
   std::vector<NodeId> order = topological_order(graph);
   std::vector<std::size_t> topo_pos(graph.node_count());
   for (std::size_t i = 0; i < order.size(); ++i) {

@@ -5,7 +5,6 @@
 
 #include "baseline/list_scheduler.hpp"
 #include "graph/task_graph.hpp"
-#include "support/workspace.hpp"
 
 namespace sts {
 
@@ -40,19 +39,11 @@ struct HeterogeneousSystem {
 /// communication is buffered through global memory (cost folded into the
 /// data-proportional task costs, as in the homogeneous baseline).
 /// Buffer nodes take no PE and no time.
-///
-/// With a Workspace, the upward-rank phase runs wave-parallel with results
-/// bit-identical to serial (each node's rank is computed from strictly
-/// later waves with the exact same double operations); placement stays
-/// serial.
 [[nodiscard]] ListSchedule schedule_heft(const TaskGraph& graph,
-                                         const HeterogeneousSystem& system,
-                                         Workspace* ws = nullptr);
+                                         const HeterogeneousSystem& system);
 
 /// Upward ranks used by the priority order (exposed for tests).
 [[nodiscard]] std::vector<double> upward_ranks(const TaskGraph& graph,
                                                const HeterogeneousSystem& system);
-[[nodiscard]] std::vector<double> upward_ranks(const TaskGraph& graph,
-                                               const HeterogeneousSystem& system, Workspace* ws);
 
 }  // namespace sts

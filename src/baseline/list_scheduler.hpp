@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/task_graph.hpp"
-#include "support/workspace.hpp"
 
 namespace sts {
 
@@ -35,16 +34,9 @@ struct ListSchedule {
 ///  - each task goes to the PE offering the earliest finish time, allowed to
 ///    slot into idle gaps between already-placed tasks.
 /// Buffer nodes take no PE and no time; they only relay precedence.
-///
-/// With a Workspace, the bottom-level ranking phase runs wave-parallel (a
-/// node's rank depends only on strictly later waves, so the result is
-/// bit-identical to serial at every lane count); placement itself stays
-/// serial, which the priority order requires.
-[[nodiscard]] ListSchedule schedule_non_streaming(const TaskGraph& graph, std::int64_t num_pes,
-                                                  Workspace* ws = nullptr);
+[[nodiscard]] ListSchedule schedule_non_streaming(const TaskGraph& graph, std::int64_t num_pes);
 
 /// Bottom levels used for the priority order (exposed for tests).
 [[nodiscard]] std::vector<std::int64_t> bottom_levels(const TaskGraph& graph);
-[[nodiscard]] std::vector<std::int64_t> bottom_levels(const TaskGraph& graph, Workspace* ws);
 
 }  // namespace sts

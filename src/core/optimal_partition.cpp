@@ -13,15 +13,10 @@ namespace {
 /// block from the highest block of its predecessors up to one past the
 /// current highest non-empty block (capacity permitting). This enumerates
 /// every monotone block assignment exactly once up to empty-block renaming.
-/// Complete assignments per parallel evaluation flush: large enough to feed
-/// every lane, small enough that the batch memory stays trivial.
-constexpr std::size_t kEvalBatch = 64;
-
 class Search {
  public:
-  Search(const TaskGraph& graph, std::int64_t num_pes, std::int64_t max_candidates,
-         Parallel parallel)
-      : graph_(graph), num_pes_(num_pes), max_candidates_(max_candidates), parallel_(parallel) {
+  Search(const TaskGraph& graph, std::int64_t num_pes, std::int64_t max_candidates)
+      : graph_(graph), num_pes_(num_pes), max_candidates_(max_candidates) {
     for (const NodeId v : topological_order(graph)) {
       if (graph.occupies_pe(v)) order_.push_back(v);
     }
@@ -32,7 +27,6 @@ class Search {
 
   OptimalPartitionResult run() {
     descend(0, -1);
-    flush();
     if (result_.makespan == std::numeric_limits<std::int64_t>::max()) {
       // Graph without PE tasks: a single empty result.
       result_.makespan = 0;
@@ -83,60 +77,31 @@ class Search {
     return best;
   }
 
-  /// Queues one complete assignment; makespans are computed batch-wise so
-  /// independent candidates can be scored on all lanes at once. The explored
-  /// counter advances at enqueue time, preserving the max_candidates cutoff
-  /// of the serial search exactly.
+  /// Scores one complete assignment; the first strict minimum in
+  /// enumeration order wins.
   void evaluate(std::int32_t highest_block) {
     ++result_.explored;
-    Candidate candidate;
-    candidate.partition.block_of.assign(graph_.node_count(), -1);
-    candidate.partition.blocks.resize(static_cast<std::size_t>(highest_block) + 1);
+    SpatialPartition partition;
+    partition.block_of.assign(graph_.node_count(), -1);
+    partition.blocks.resize(static_cast<std::size_t>(highest_block) + 1);
     for (const NodeId v : order_) {
       const auto block = assignment_[static_cast<std::size_t>(v)];
-      candidate.partition.block_of[static_cast<std::size_t>(v)] = block;
-      candidate.partition.blocks[static_cast<std::size_t>(block)].push_back(v);
+      partition.block_of[static_cast<std::size_t>(v)] = block;
+      partition.blocks[static_cast<std::size_t>(block)].push_back(v);
     }
-    batch_.push_back(std::move(candidate));
-    if (batch_.size() >= kEvalBatch) flush();
-  }
-
-  void flush() {
-    if (batch_.empty()) return;
-    // Scoring is pure (each lane schedules its own candidates with a private
-    // workspace); only the min-scan below mutates search state, and it runs
-    // serially in enumeration order, keeping the first-strict-minimum winner
-    // identical to the serial search.
-    parallel_.for_range(static_cast<std::int64_t>(batch_.size()), 1,
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t i = lo; i < hi; ++i) {
-                            auto& candidate = batch_[static_cast<std::size_t>(i)];
-                            candidate.makespan =
-                                schedule_streaming(graph_, candidate.partition).makespan;
-                          }
-                        });
-    for (auto& candidate : batch_) {
-      if (candidate.makespan < result_.makespan) {
-        result_.makespan = candidate.makespan;
-        result_.partition = std::move(candidate.partition);
-      }
+    const std::int64_t makespan = schedule_streaming(graph_, partition).makespan;
+    if (makespan < result_.makespan) {
+      result_.makespan = makespan;
+      result_.partition = std::move(partition);
     }
-    batch_.clear();
   }
-
-  struct Candidate {
-    SpatialPartition partition;
-    std::int64_t makespan = 0;
-  };
 
   const TaskGraph& graph_;
   std::int64_t num_pes_;
   std::int64_t max_candidates_;
-  Parallel parallel_;
   std::vector<NodeId> order_;
   std::vector<std::int32_t> assignment_;
   std::vector<std::int64_t> block_sizes_;
-  std::vector<Candidate> batch_;
   OptimalPartitionResult result_;
 };
 
@@ -144,9 +109,9 @@ class Search {
 
 OptimalPartitionResult optimal_partition_exhaustive(const TaskGraph& graph,
                                                     std::int64_t num_pes,
-                                                    std::int64_t max_candidates, Workspace* ws) {
+                                                    std::int64_t max_candidates) {
   if (num_pes <= 0) throw std::invalid_argument("optimal_partition: num_pes must be > 0");
-  Search search(graph, num_pes, max_candidates, ws ? ws->parallel : Parallel());
+  Search search(graph, num_pes, max_candidates);
   return search.run();
 }
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "support/rational.hpp"
@@ -14,62 +15,54 @@ namespace {
 
 constexpr std::int64_t kNoConstraint = std::numeric_limits<std::int64_t>::max();
 
-/// Shared machinery of the greedy partitioners: incremental ready set,
-/// automatic (block-less) assignment of buffer nodes, block bookkeeping.
-/// All O(n) scratch comes from the workspace arena, so building a partition
-/// costs no per-node heap allocations (the result containers aside).
+/// Shared machinery of the greedy partitioners: pending-predecessor counts,
+/// automatic (block-less) assignment of buffer nodes, block bookkeeping, and
+/// a queue of nodes that became ready but were not yet handed to the
+/// caller's priority heaps. All O(n) scratch comes from the workspace arena,
+/// so building a partition costs no per-node heap allocations (the result
+/// containers aside).
 class PartitionBuilder {
  public:
   PartitionBuilder(const TaskGraph& graph, std::int64_t num_pes, Workspace& ws)
       : graph_(graph), num_pes_(num_pes),
         pending_in_(ws.arena.alloc_array<std::size_t>(graph.node_count())),
-        ready_pos_(ws.arena.alloc_array<std::int32_t>(graph.node_count())),
-        ready_storage_(ws.arena.alloc_array<NodeId>(graph.node_count())),
+        ready_queue_(ws.arena.alloc_array<NodeId>(graph.node_count())),
         chain_min_(ws.arena.alloc_array<std::int64_t>(graph.node_count())) {
     if (num_pes <= 0) throw std::invalid_argument("partition: num_pes must be > 0");
     partition_.block_of.assign(graph.node_count(), -1);
     for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
       pending_in_[static_cast<std::size_t>(v)] = graph.in_degree(v);
-      ready_pos_[static_cast<std::size_t>(v)] = -1;
       chain_min_[static_cast<std::size_t>(v)] = kNoConstraint;
       if (graph.occupies_pe(v)) ++remaining_;
     }
   }
 
-  /// Activates one connected partition: its in-degree-0 nodes enter the ready
-  /// set (components are edge-closed, so nothing else can be pending-free).
-  /// Callers drive components one at a time; the ready set only ever holds
-  /// nodes of the active one.
+  /// Activates one connected partition: its in-degree-0 nodes become ready
+  /// (components are edge-closed, so nothing else can be pending-free).
+  /// Callers drive components one at a time, so ready nodes only ever belong
+  /// to the active one.
   void seed(std::span<const NodeId> nodes) {
     for (const NodeId v : nodes) {
       if (pending_in_[static_cast<std::size_t>(v)] == 0) on_ready(v);
     }
   }
 
-  [[nodiscard]] std::size_t remaining() const noexcept { return remaining_; }
-  [[nodiscard]] bool done() const noexcept { return remaining_ == 0; }
-  [[nodiscard]] std::span<const NodeId> ready() const noexcept {
-    return ready_storage_.subspan(0, ready_size_);
-  }
-  [[nodiscard]] std::int32_t open_block() const noexcept { return open_block_; }
-  [[nodiscard]] bool block_open_and_nonempty() const noexcept {
-    return open_block_ >= 0 &&
-           !partition_.blocks[static_cast<std::size_t>(open_block_)].empty();
+  /// PE nodes that became ready since the last call, in readiness order.
+  /// Every node is handed out exactly once.
+  [[nodiscard]] std::span<const NodeId> take_newly_ready() noexcept {
+    const std::span<const NodeId> fresh =
+        std::span<const NodeId>(ready_queue_).subspan(handed_out_, queued_ - handed_out_);
+    handed_out_ = queued_;
+    return fresh;
   }
 
-  /// Min output volume over the open-block sources `v` transitively depends
-  /// on via direct (non-buffer) edges; kNoConstraint if v has no predecessor
-  /// in the open block (it would start a fresh stream component).
-  [[nodiscard]] std::int64_t source_volume_bound(NodeId v) const {
-    std::int64_t bound = kNoConstraint;
-    for (const EdgeId e : graph_.in_edges(v)) {
-      const NodeId u = graph_.edge(e).src;
-      if (graph_.kind(u) == NodeKind::kBuffer) continue;  // memory boundary
-      if (open_block_ >= 0 && partition_.block_of[static_cast<std::size_t>(u)] == open_block_) {
-        bound = std::min(bound, chain_min_[static_cast<std::size_t>(u)]);
-      }
-    }
-    return bound;
+  [[nodiscard]] std::size_t remaining() const noexcept { return remaining_; }
+  [[nodiscard]] bool block_open() const noexcept { return open_block_ >= 0; }
+
+  /// Algorithm 1's volume-safety test against the open block.
+  [[nodiscard]] bool eligible(NodeId v) const {
+    const std::int64_t bound = source_volume_bound(v);
+    return bound == kNoConstraint || graph_.output_volume(v) <= bound;
   }
 
   void assign(NodeId v) {
@@ -84,7 +77,6 @@ class PartitionBuilder {
         bound == kNoConstraint ? graph_.output_volume(v) : bound;
     partition_.block_of[static_cast<std::size_t>(v)] = open_block_;
     partition_.blocks[static_cast<std::size_t>(open_block_)].push_back(v);
-    remove_ready(v);
     --remaining_;
     release_successors(v);
     if (static_cast<std::int64_t>(
@@ -104,14 +96,28 @@ class PartitionBuilder {
   }
 
  private:
+  /// Min output volume over the open-block sources `v` transitively depends
+  /// on via direct (non-buffer) edges; kNoConstraint if v has no predecessor
+  /// in the open block (it would start a fresh stream component).
+  [[nodiscard]] std::int64_t source_volume_bound(NodeId v) const {
+    std::int64_t bound = kNoConstraint;
+    for (const EdgeId e : graph_.in_edges(v)) {
+      const NodeId u = graph_.edge(e).src;
+      if (graph_.kind(u) == NodeKind::kBuffer) continue;  // memory boundary
+      if (open_block_ >= 0 && partition_.block_of[static_cast<std::size_t>(u)] == open_block_) {
+        bound = std::min(bound, chain_min_[static_cast<std::size_t>(u)]);
+      }
+    }
+    return bound;
+  }
+
   void on_ready(NodeId v) {
     if (graph_.kind(v) == NodeKind::kBuffer) {
       // Buffer nodes are backing memory, not tasks: absorb them as soon as
       // all producers are placed; they never consume a PE slot.
       release_successors(v);
     } else {
-      ready_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(ready_size_);
-      ready_storage_[ready_size_++] = v;
+      ready_queue_[queued_++] = v;
     }
   }
 
@@ -122,36 +128,52 @@ class PartitionBuilder {
     }
   }
 
-  // O(1) swap-remove via the node -> ready-index map (the former linear
-  // std::find scan dominated partitioning time on wide graphs).
-  void remove_ready(NodeId v) {
-    const std::int32_t pos = ready_pos_[static_cast<std::size_t>(v)];
-    if (pos < 0) return;
-    const NodeId moved = ready_storage_[ready_size_ - 1];
-    ready_storage_[static_cast<std::size_t>(pos)] = moved;
-    ready_pos_[static_cast<std::size_t>(moved)] = pos;
-    --ready_size_;
-    ready_pos_[static_cast<std::size_t>(v)] = -1;
-  }
-
   const TaskGraph& graph_;
   std::int64_t num_pes_;
   SpatialPartition partition_;
   std::span<std::size_t> pending_in_;
-  std::span<std::int32_t> ready_pos_;  ///< node -> index in ready set; -1 if absent
-  std::span<NodeId> ready_storage_;    ///< first ready_size_ slots hold the ready set
+  std::span<NodeId> ready_queue_;  ///< every node that became ready, in order
   std::span<std::int64_t> chain_min_;
-  std::size_t ready_size_ = 0;
+  std::size_t queued_ = 0;      ///< ready_queue_ fill
+  std::size_t handed_out_ = 0;  ///< ready_queue_ prefix given to the caller
   std::int32_t open_block_ = -1;
   std::size_t remaining_ = 0;
 };
 
-/// Grain for the ready-set argmin fan-out: below this many candidates the
-/// scan stays on the calling thread (fork-join overhead would dominate).
-/// 256 elements cost a few microseconds per chunk — enough to amortise the
-/// pool's fork-join latency while still splitting a layer-wide ready set
-/// (a few thousand candidates) across all four lanes of the latency gate.
-constexpr std::int64_t kArgminGrain = 256;
+/// Binary heap of ready nodes over arena storage of capacity n. `before` is
+/// a strict total order; top() is its unique minimum, so popping yields
+/// exactly the node a linear argmin scan under the same order would pick.
+template <typename Before>
+class ReadyHeap {
+ public:
+  ReadyHeap(std::span<NodeId> storage, Before before)
+      : storage_(storage), before_(std::move(before)) {}
+
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+  void push(NodeId v) {
+    storage_[size_++] = v;
+    std::push_heap(storage_.begin(), end(), after());
+  }
+
+  NodeId pop() {
+    std::pop_heap(storage_.begin(), end(), after());
+    return storage_[--size_];
+  }
+
+ private:
+  [[nodiscard]] auto end() const noexcept {
+    return storage_.begin() + static_cast<std::ptrdiff_t>(size_);
+  }
+  /// std heaps keep the comparator's maximum on top; invert the order.
+  [[nodiscard]] auto after() const {
+    return [this](NodeId a, NodeId b) { return before_(b, a); };
+  }
+
+  std::span<NodeId> storage_;
+  Before before_;
+  std::size_t size_ = 0;
+};
 
 std::size_t pe_node_count(const TaskGraph& graph, std::span<const NodeId> nodes) {
   std::size_t count = 0;
@@ -173,7 +195,7 @@ SpatialPartition partition_spatial_blocks(const TaskGraph& graph, std::int64_t n
   Workspace local;
   Workspace& work = ws ? *ws : local;
   PartitionBuilder builder(graph, num_pes, work);
-  const std::vector<Rational> level = node_levels(graph, &work);
+  const std::vector<Rational> level = node_levels(graph);
   CanonicalPartitionIndex owned_index;
   if (!index) {
     owned_index = canonical_partition_index(graph);
@@ -181,72 +203,63 @@ SpatialPartition partition_spatial_blocks(const TaskGraph& graph, std::int64_t n
   }
   const std::vector<std::int32_t>& rank = index->rank;
 
-  // Strict-total-order comparators ("does v beat the incumbent b?"). The
-  // serial loop's first-then-strict-improve scan computes the unique minimum
-  // under these orders, so reducing per-chunk winners in any grouping yields
-  // the same node — the parallel argmin is bit-identical to serial.
-  const auto eligible_beats = [&](NodeId v, NodeId b) {
-    if (b == kInvalidNode) return v != kInvalidNode;
-    if (v == kInvalidNode) return false;
-    // Primary criterion per Algorithm 1; ties broken by node level, then
-    // produced volume, then canonical rank (deterministic AND invariant
-    // under node-id renumbering — candidates are always same-component, so
-    // ranks never collide).
-    const auto& lv = level[static_cast<std::size_t>(v)];
+  // Algorithm 1's primary criterion; ties broken by node level, then
+  // produced volume, then canonical rank (deterministic AND invariant under
+  // node-id renumbering — candidates are always same-component, so ranks
+  // never collide). A strict total order.
+  const auto eligible_before = [&](NodeId a, NodeId b) {
+    const auto& la = level[static_cast<std::size_t>(a)];
     const auto& lb = level[static_cast<std::size_t>(b)];
-    if (lv != lb) return lv < lb;
-    const auto ov = graph.output_volume(v);
+    if (la != lb) return la < lb;
+    const auto oa = graph.output_volume(a);
     const auto ob = graph.output_volume(b);
-    if (ov != ob) return ov < ob;
-    return rank[static_cast<std::size_t>(v)] < rank[static_cast<std::size_t>(b)];
+    if (oa != ob) return oa < ob;
+    return rank[static_cast<std::size_t>(a)] < rank[static_cast<std::size_t>(b)];
   };
-  const auto relaxed_beats = [&](NodeId v, NodeId b) {
-    if (b == kInvalidNode) return v != kInvalidNode;
-    if (v == kInvalidNode) return false;
-    // SB-RLX fallback: least produced volume, then level, then rank.
-    const auto ov = graph.output_volume(v);
+  // SB-RLX fallback: least produced volume, then level, then rank.
+  const auto relaxed_before = [&](NodeId a, NodeId b) {
+    const auto oa = graph.output_volume(a);
     const auto ob = graph.output_volume(b);
-    if (ov != ob) return ov < ob;
-    const auto& lv = level[static_cast<std::size_t>(v)];
+    if (oa != ob) return oa < ob;
+    const auto& la = level[static_cast<std::size_t>(a)];
     const auto& lb = level[static_cast<std::size_t>(b)];
-    if (lv != lb) return lv < lb;
-    return rank[static_cast<std::size_t>(v)] < rank[static_cast<std::size_t>(b)];
+    if (la != lb) return la < lb;
+    return rank[static_cast<std::size_t>(a)] < rank[static_cast<std::size_t>(b)];
   };
 
-  struct Best {
-    NodeId eligible = kInvalidNode;
-    NodeId relaxed = kInvalidNode;
+  // A ready node's predecessors are all assigned, so its eligibility is
+  // fixed from the moment it becomes ready until the open block closes;
+  // after the close every predecessor sits in a closed block and it stays
+  // eligible for good. Each node is therefore classified once on arrival
+  // (eligible -> E, volume-unsafe -> R) and R drains into E at every close:
+  // E always holds exactly the ready nodes the scan would find eligible.
+  ReadyHeap eligible(work.arena.alloc_array<NodeId>(graph.node_count()), eligible_before);
+  ReadyHeap relaxed(work.arena.alloc_array<NodeId>(graph.node_count()), relaxed_before);
+  const auto admit_ready = [&] {
+    for (const NodeId v : builder.take_newly_ready()) {
+      if (builder.eligible(v)) {
+        eligible.push(v);
+      } else {
+        relaxed.push(v);
+      }
+    }
+    if (!builder.block_open()) {
+      while (!relaxed.empty()) eligible.push(relaxed.pop());
+    }
   };
+
   for (std::int32_t c = 0; c < index->count; ++c) {
     const std::span<const NodeId> component = index->nodes(c);
     builder.seed(component);
     const std::size_t target = builder.remaining() - pe_node_count(graph, component);
     while (builder.remaining() > target) {
-      const std::span<const NodeId> ready = builder.ready();
-      if (ready.empty()) {
+      admit_ready();
+      if (!eligible.empty()) {
+        builder.assign(eligible.pop());
+      } else if (relaxed.empty()) {
         throw std::logic_error("partition: no ready node (cyclic graph?)");
-      }
-      const Best best = work.parallel.map_reduce(
-          static_cast<std::int64_t>(ready.size()), kArgminGrain, Best{},
-          [&](std::int64_t lo, std::int64_t hi, Best& acc) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const NodeId v = ready[static_cast<std::size_t>(i)];
-              const std::int64_t bound = builder.source_volume_bound(v);
-              if (bound == kNoConstraint || graph.output_volume(v) <= bound) {
-                if (eligible_beats(v, acc.eligible)) acc.eligible = v;
-              } else if (variant == PartitionVariant::kRLX) {
-                if (relaxed_beats(v, acc.relaxed)) acc.relaxed = v;
-              }
-            }
-          },
-          [&](Best& into, const Best& from) {
-            if (eligible_beats(from.eligible, into.eligible)) into.eligible = from.eligible;
-            if (relaxed_beats(from.relaxed, into.relaxed)) into.relaxed = from.relaxed;
-          });
-      if (best.eligible != kInvalidNode) {
-        builder.assign(best.eligible);
-      } else if (variant == PartitionVariant::kRLX && best.relaxed != kInvalidNode) {
-        builder.assign(best.relaxed);
+      } else if (variant == PartitionVariant::kRLX) {
+        builder.assign(relaxed.pop());
       } else {
         // SB-LTS: nothing safe to add; seal the block and start a fresh one
         // (every candidate is then a block source and becomes eligible).
@@ -265,7 +278,7 @@ SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
   Workspace local;
   Workspace& work = ws ? *ws : local;
   PartitionBuilder builder(graph, num_pes, work);
-  const std::vector<Rational> level = node_levels(graph, &work);
+  const std::vector<Rational> level = node_levels(graph);
   CanonicalPartitionIndex owned_index;
   if (!index) {
     owned_index = canonical_partition_index(graph);
@@ -274,41 +287,28 @@ SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
   const std::vector<std::int32_t>& rank = index->rank;
 
   // Highest work first, ties by lowest level then canonical rank — a strict
-  // total order, so the chunked reduction is exact (see
-  // partition_spatial_blocks).
-  const auto beats = [&](NodeId v, NodeId b) {
-    if (b == kInvalidNode) return v != kInvalidNode;
-    if (v == kInvalidNode) return false;
-    const std::int64_t wv = graph.work(v);
+  // total order over static keys, so the ready set is a single heap.
+  const auto before = [&](NodeId a, NodeId b) {
+    const std::int64_t wa = graph.work(a);
     const std::int64_t wb = graph.work(b);
-    if (wv != wb) return wv > wb;
-    const auto& lv = level[static_cast<std::size_t>(v)];
+    if (wa != wb) return wa > wb;
+    const auto& la = level[static_cast<std::size_t>(a)];
     const auto& lb = level[static_cast<std::size_t>(b)];
-    if (lv != lb) return lv < lb;
-    return rank[static_cast<std::size_t>(v)] < rank[static_cast<std::size_t>(b)];
+    if (la != lb) return la < lb;
+    return rank[static_cast<std::size_t>(a)] < rank[static_cast<std::size_t>(b)];
   };
+  ReadyHeap ready(work.arena.alloc_array<NodeId>(graph.node_count()), before);
 
   for (std::int32_t c = 0; c < index->count; ++c) {
     const std::span<const NodeId> component = index->nodes(c);
     builder.seed(component);
     const std::size_t target = builder.remaining() - pe_node_count(graph, component);
     while (builder.remaining() > target) {
-      const std::span<const NodeId> ready = builder.ready();
+      for (const NodeId v : builder.take_newly_ready()) ready.push(v);
       if (ready.empty()) {
         throw std::logic_error("partition_by_work: no ready node (cyclic graph?)");
       }
-      const NodeId best = work.parallel.map_reduce(
-          static_cast<std::int64_t>(ready.size()), kArgminGrain, kInvalidNode,
-          [&](std::int64_t lo, std::int64_t hi, NodeId& acc) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const NodeId v = ready[static_cast<std::size_t>(i)];
-              if (beats(v, acc)) acc = v;
-            }
-          },
-          [&](NodeId& into, const NodeId& from) {
-            if (beats(from, into)) into = from;
-          });
-      builder.assign(best);  // blocks cut automatically every num_pes nodes
+      builder.assign(ready.pop());  // blocks cut automatically every num_pes nodes
     }
     builder.close_block();  // blocks never span components
   }

@@ -53,11 +53,15 @@ struct SpatialPartition {
 /// bit-identically to a cold run. Pass a precomputed `index` to skip the
 /// internal canonicalization (it must describe `graph`).
 ///
-/// When a Workspace is given, its arena backs the builder scratch (no
-/// per-node heap allocations) and its lanes fan out the per-iteration argmin
-/// scan over the ready set. The scan reduces under a strict total order, so
-/// the unique winner — and the whole partition — is bit-identical to the
-/// serial path at every lane count.
+/// The ready set lives in two priority heaps: eligible candidates ordered by
+/// (level, volume, rank) and volume-unsafe ones ordered by the SB-RLX
+/// fallback order (volume, level, rank). A ready node's eligibility is fixed
+/// until the open block closes, and every node is eligible once it does, so
+/// each node is classified once and the unsafe heap drains into the eligible
+/// one at every block close: O((n + E) log n) per call. Both orders are
+/// strict total orders, so each heap top is the unique argmin a full scan of
+/// the ready set would pick. When a Workspace is given, its arena backs the
+/// builder scratch and the heaps (no per-node heap allocations).
 [[nodiscard]] SpatialPartition partition_spatial_blocks(const TaskGraph& graph,
                                                         std::int64_t num_pes,
                                                         PartitionVariant variant,
@@ -70,6 +74,8 @@ struct SpatialPartition {
 /// each connected partition (same component-sequential order as
 /// partition_spatial_blocks). Carries the
 /// T_P <= T1/P + T_s_inf + min(n-1, (x-1)(L-1)) guarantee per component.
+/// The ready set is one heap under the static (work desc, level, rank)
+/// order, so a call costs O((n + E) log n).
 [[nodiscard]] SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
                                                  Workspace* ws = nullptr,
                                                  const CanonicalPartitionIndex* index = nullptr);

@@ -120,35 +120,20 @@ TopoWaves topological_waves(const TaskGraph& graph, bool reverse) {
   return waves;
 }
 
-std::vector<Rational> node_levels(const TaskGraph& graph) { return node_levels(graph, nullptr); }
-
-std::vector<Rational> node_levels(const TaskGraph& graph, Workspace* ws) {
+std::vector<Rational> node_levels(const TaskGraph& graph) {
   std::vector<Rational> level(graph.node_count(), Rational(0));
-  const TopoWaves waves = topological_waves(graph);
-  const Parallel parallel = ws ? ws->parallel : Parallel();
-  for (std::size_t w = 0; w + 1 < waves.offsets.size(); ++w) {
-    const std::size_t begin = waves.offsets[w];
-    const std::size_t end = waves.offsets[w + 1];
-    // Every predecessor lives in an earlier wave, so nodes of one wave are
-    // independent: each lane writes a disjoint set of level slots and the
-    // result is bit-identical to the serial sweep.
-    parallel.for_range(static_cast<std::int64_t>(end - begin), 128, [&](std::int64_t lo,
-                                                                        std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const NodeId v = waves.order[begin + static_cast<std::size_t>(i)];
-        const auto ins = graph.in_edges(v);
-        if (ins.empty()) {
-          level[static_cast<std::size_t>(v)] = Rational(1);
-          continue;
-        }
-        Rational best(0);
-        for (const EdgeId e : ins) {
-          best = std::max(best, level[static_cast<std::size_t>(graph.edge(e).src)]);
-        }
-        const Rational step = std::max(graph.rate(v), Rational(1));
-        level[static_cast<std::size_t>(v)] = best + step;
-      }
-    });
+  for (const NodeId v : topological_waves(graph).order) {
+    const auto ins = graph.in_edges(v);
+    if (ins.empty()) {
+      level[static_cast<std::size_t>(v)] = Rational(1);
+      continue;
+    }
+    Rational best(0);
+    for (const EdgeId e : ins) {
+      best = std::max(best, level[static_cast<std::size_t>(graph.edge(e).src)]);
+    }
+    const Rational step = std::max(graph.rate(v), Rational(1));
+    level[static_cast<std::size_t>(v)] = best + step;
   }
   return level;
 }

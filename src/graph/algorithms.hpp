@@ -7,7 +7,6 @@
 
 #include "graph/task_graph.hpp"
 #include "support/rational.hpp"
-#include "support/workspace.hpp"
 
 namespace sts {
 
@@ -22,10 +21,9 @@ namespace sts {
 /// (wave w = nodes whose longest dependency chain from a source — or from a
 /// sink, when `reverse` — has exactly w hops), with wave w occupying
 /// order[offsets[w] .. offsets[w+1]). Every dependency of a node lies in a
-/// strictly earlier wave, so any per-node value defined as a function of the
-/// node and its direct predecessors (levels, bottom levels, upward ranks)
-/// can be computed for a whole wave in parallel with a result independent of
-/// intra-wave order. Within each wave, nodes are sorted by id; concatenating
+/// strictly earlier wave, so one sweep of `order` settles any per-node value
+/// defined by the node and its direct predecessors (levels, bottom levels,
+/// upward ranks). Within each wave, nodes are sorted by id; concatenating
 /// the waves therefore yields a valid (BFS-flavored) topological order,
 /// though not the same order as topological_order (which is globally
 /// min-id-first). Throws std::invalid_argument on a cyclic graph.
@@ -45,13 +43,7 @@ struct TopoWaves {
 /// The level is the time for the last element leaving a source to reach and
 /// be processed by v, accounting for upsampler fan-out; it is rational when
 /// production rates are.
-///
-/// The Workspace overload computes levels wave-parallel (see TopoWaves: a
-/// node's level depends only on strictly earlier waves, so intra-wave order
-/// cannot matter and the result is bit-identical to the serial path at every
-/// lane count). Pass nullptr for the serial single-thread path.
 [[nodiscard]] std::vector<Rational> node_levels(const TaskGraph& graph);
-[[nodiscard]] std::vector<Rational> node_levels(const TaskGraph& graph, Workspace* ws);
 
 /// L(G) = max over nodes of L(v).
 [[nodiscard]] Rational graph_level(const TaskGraph& graph);

@@ -150,8 +150,8 @@ void feed(Digest& d, const SimResult& sim) {
   d.i64(sim.ticks_executed);
   d.i64(static_cast<std::int64_t>(sim.engine_used));
   // live_ticks and bulk_jumps are engine-internal effort counters, but they
-  // are covered deliberately: the parallel candidate prefilter must not
-  // change WHICH period jumps happen, only who screens the candidates.
+  // are covered deliberately: an engine change that alters WHICH period
+  // jumps happen shows up as a fingerprint change.
   d.i64(sim.live_ticks);
   d.i64(sim.bulk_jumps);
 }

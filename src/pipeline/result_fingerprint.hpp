@@ -14,11 +14,11 @@ namespace sts {
 /// they are the only fields allowed to differ between two runs of the same
 /// scenario.
 ///
-/// This is the equality oracle of the intra-request parallelism work: two
-/// results fingerprint identically iff every schedule decision, every
-/// ST/FO/LO value, and every FIFO capacity match bit-for-bit, so the
-/// differential tests (and bench_huge_graph) can compare a serial run
-/// against any lane count with one integer comparison.
+/// Two results fingerprint identically iff every schedule decision, every
+/// ST/FO/LO value, and every FIFO capacity match bit-for-bit, so
+/// differential and golden-value tests (subgraph assembly vs. cold runs,
+/// tests/test_golden_fingerprints.cpp) compare whole results with one
+/// integer comparison.
 [[nodiscard]] std::uint64_t result_fingerprint(const ScheduleResult& result);
 
 }  // namespace sts

@@ -14,10 +14,6 @@ void validate_schedule_inputs(const TaskGraph& graph, const MachineConfig& machi
     throw std::invalid_argument("schedule: default_fifo_capacity must be >= 1, got " +
                                 std::to_string(machine.default_fifo_capacity));
   }
-  if (machine.intra_threads < 0) {
-    throw std::invalid_argument("schedule: intra_threads must be >= 0 (0 = auto), got " +
-                                std::to_string(machine.intra_threads));
-  }
   if (!machine.pe_speed.empty()) {
     if (static_cast<std::int64_t>(machine.pe_speed.size()) != machine.num_pes) {
       throw std::invalid_argument("schedule: pe_speed has " +
@@ -47,7 +43,7 @@ ScheduleResult Scheduler::schedule(const TaskGraph& graph, const MachineConfig& 
   ScheduleContext ctx;
   ctx.graph = &graph;
   ctx.machine = machine;
-  ctx.workspace = std::make_shared<Workspace>(machine.intra_threads);
+  ctx.workspace = std::make_shared<Workspace>();
   build_pipeline(machine).run(ctx);
 
   ScheduleResult result;

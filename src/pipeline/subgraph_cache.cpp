@@ -8,7 +8,6 @@
 #include "metrics/metrics.hpp"
 #include "pipeline/registry.hpp"
 #include "pipeline/schedule_cache.hpp"
-#include "support/parallel.hpp"
 #include "support/rational.hpp"
 
 namespace sts {
@@ -125,11 +124,10 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
 /// cumulative block count; metrics are recomputed globally with the exact
 /// MetricsPass formulas so every double matches a cold run bit-for-bit.
 ///
-/// A serial prefix pass fixes every partition's destination offsets, then
-/// partitions are stitched in parallel over machine.intra_threads lanes —
-/// each writes a disjoint slice of the preallocated arrays, so the result is
-/// bit-identical at every lane count. The whole-graph streaming depth behind
-/// slr is the max of the fragments' depths: the supernode DAG of the depth
+/// A prefix pass fixes every partition's destination offsets, then each
+/// partition is stitched into its slice of the preallocated arrays. The
+/// whole-graph streaming depth behind slr is the max of the fragments'
+/// depths: the supernode DAG of the depth
 /// bound never crosses partition boundaries (its edges follow buffer edges,
 /// which stay inside a weakly connected partition), so the longest path in
 /// the whole graph's DAG is the max over the partitions' longest paths —
@@ -137,8 +135,7 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
 ScheduleResult assemble_from_fragments(
     const std::string& scheduler, const TaskGraph& graph, const MachineConfig& machine,
     const CanonicalPartitionIndex& index,
-    const std::vector<std::shared_ptr<const ScheduleResult>>& fragments,
-    const Parallel& parallel) {
+    const std::vector<std::shared_ptr<const ScheduleResult>>& fragments) {
   const std::size_t n = graph.node_count();
   const auto pcount = static_cast<std::size_t>(index.count);
 
@@ -171,64 +168,60 @@ ScheduleResult assemble_from_fragments(
   buffers.channels.resize(channel_offset[pcount]);
   buffers.total_capacity = total_capacity;
 
-  parallel.for_range(static_cast<std::int64_t>(pcount), 1, [&](std::int64_t lo,
-                                                               std::int64_t hi) {
-    std::vector<EdgeId> edge_ids;
-    for (std::int64_t ci = lo; ci < hi; ++ci) {
-      const auto c = static_cast<std::size_t>(ci);
-      const std::span<const NodeId> nodes = index.nodes(static_cast<std::int32_t>(ci));
-      const ScheduleResult& fragment = *fragments[c];
-      const StreamingSchedule& ls = *fragment.streaming;
-      const std::int64_t toff = time_offset[c];
-      const auto block_base = static_cast<std::int32_t>(block_offset[c]);
+  std::vector<EdgeId> edge_ids;
+  for (std::size_t c = 0; c < pcount; ++c) {
+    const std::span<const NodeId> nodes = index.nodes(static_cast<std::int32_t>(c));
+    const ScheduleResult& fragment = *fragments[c];
+    const StreamingSchedule& ls = *fragment.streaming;
+    const std::int64_t toff = time_offset[c];
+    const auto block_base = static_cast<std::int32_t>(block_offset[c]);
 
-      for (std::size_t b = 0; b < ls.partition.blocks.size(); ++b) {
-        const std::vector<NodeId>& block = ls.partition.blocks[b];
-        std::vector<NodeId>& mapped = assembled.partition.blocks[block_offset[c] + b];
-        mapped.reserve(block.size());
-        for (const NodeId lv : block) mapped.push_back(nodes[static_cast<std::size_t>(lv)]);
-      }
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const auto v = static_cast<std::size_t>(nodes[i]);
-        TaskTiming t = ls.timing[i];
-        // Untimed nodes (buffers serving no block) keep the default record:
-        // every timed node has first_out >= block_release + 1 >= 1.
-        if (t.block < 0 && t.first_out == 0) {
-          assembled.timing[v] = t;
-          continue;
-        }
-        t.start += toff;
-        t.first_out += toff;
-        t.last_out += toff;
-        if (t.block >= 0) {
-          t.block += block_base;
-          assembled.partition.block_of[v] = t.block;
-        }
+    for (std::size_t b = 0; b < ls.partition.blocks.size(); ++b) {
+      const std::vector<NodeId>& block = ls.partition.blocks[b];
+      std::vector<NodeId>& mapped = assembled.partition.blocks[block_offset[c] + b];
+      mapped.reserve(block.size());
+      for (const NodeId lv : block) mapped.push_back(nodes[static_cast<std::size_t>(lv)]);
+    }
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const auto v = static_cast<std::size_t>(nodes[i]);
+      TaskTiming t = ls.timing[i];
+      // Untimed nodes (buffers serving no block) keep the default record:
+      // every timed node has first_out >= block_release + 1 >= 1.
+      if (t.block < 0 && t.first_out == 0) {
         assembled.timing[v] = t;
+        continue;
       }
-      for (std::size_t b = 0; b < ls.block_start.size(); ++b) {
-        assembled.block_start[start_offset[c] + b] = ls.block_start[b] + toff;
+      t.start += toff;
+      t.first_out += toff;
+      t.last_out += toff;
+      if (t.block >= 0) {
+        t.block += block_base;
+        assembled.partition.block_of[v] = t.block;
       }
-      for (std::size_t b = 0; b < ls.block_end.size(); ++b) {
-        assembled.block_end[end_offset[c] + b] = ls.block_end[b] + toff;
-      }
+      assembled.timing[v] = t;
+    }
+    for (std::size_t b = 0; b < ls.block_start.size(); ++b) {
+      assembled.block_start[start_offset[c] + b] = ls.block_start[b] + toff;
+    }
+    for (std::size_t b = 0; b < ls.block_end.size(); ++b) {
+      assembled.block_end[end_offset[c] + b] = ls.block_end[b] + toff;
+    }
 
-      const BufferPlan& lb = *fragment.buffers;
-      if (!lb.channels.empty()) {
-        // Rebuild the partition's local-edge-id -> global EdgeId map by
-        // walking out-edges in the materialization order.
-        edge_ids.clear();
-        for (const NodeId v : nodes) {
-          for (const EdgeId e : graph.out_edges(v)) edge_ids.push_back(e);
-        }
-        for (std::size_t k = 0; k < lb.channels.size(); ++k) {
-          ChannelPlan channel = lb.channels[k];
-          channel.edge = edge_ids[static_cast<std::size_t>(channel.edge)];
-          buffers.channels[channel_offset[c] + k] = channel;
-        }
+    const BufferPlan& lb = *fragment.buffers;
+    if (!lb.channels.empty()) {
+      // Rebuild the partition's local-edge-id -> global EdgeId map by
+      // walking out-edges in the materialization order.
+      edge_ids.clear();
+      for (const NodeId v : nodes) {
+        for (const EdgeId e : graph.out_edges(v)) edge_ids.push_back(e);
+      }
+      for (std::size_t k = 0; k < lb.channels.size(); ++k) {
+        ChannelPlan channel = lb.channels[k];
+        channel.edge = edge_ids[static_cast<std::size_t>(channel.edge)];
+        buffers.channels[channel_offset[c] + k] = channel;
       }
     }
-  });
+  }
   assembled.makespan = assembled.block_end.empty() ? 0 : assembled.block_end.back();
 
   ScheduleResult result;
@@ -297,9 +290,7 @@ ScheduleResult schedule_with_subgraph_cache(const std::string& scheduler,
   cache.note_assembled(fragments.size());
   const Clock::time_point probed = Clock::now();
 
-  const Parallel parallel(machine.intra_threads);
-  ScheduleResult result =
-      assemble_from_fragments(scheduler, graph, machine, index, fragments, parallel);
+  ScheduleResult result = assemble_from_fragments(scheduler, graph, machine, index, fragments);
   result.timings.push_back(
       {"subgraph-canonicalize", std::chrono::duration<double>(canonicalized - begin).count()});
   result.timings.push_back(

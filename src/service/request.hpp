@@ -74,7 +74,7 @@ struct GraphRef {
 ///      "base_key": "f06b75c22ef6b297",
 ///      "edits": [{"op": "set_edge_volume", "src": 1, "dst": 2, "volume": 8}],
 ///      "sim": {"engine": "bulk", "max_ticks": 50000000, "trace": false},
-///      "admission": "block", "intra_threads": 4, "priority": 0,
+///      "admission": "block", "priority": 0,
 ///      "label": "warmup"}
 ///
 /// A delta request carries `base_key` (the key_digest() of a previously
@@ -105,12 +105,6 @@ struct ScheduleRequest {
   /// cache key so simulated and plain results never collide.
   std::optional<SimOptions> sim;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Execution lanes for the scheduler's internal loops on this request
-  /// (1 = serial, 0 = auto/hardware, N = up to N lanes). Unset = use the
-  /// service default (ServiceConfig::intra_threads). Results are
-  /// bit-identical at every value, so this is a delivery hint, NOT part of
-  /// the request identity/key.
-  std::optional<std::int64_t> intra_threads;
   /// Best-effort queue-jump: a positive priority enqueues at the front of
   /// its shard instead of the back. Not part of the request identity.
   std::int32_t priority = 0;

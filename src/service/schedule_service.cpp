@@ -17,11 +17,7 @@ namespace sts {
 ScheduleService::ScheduleService(ServiceConfig config)
     : cache_(config.cache_capacity, config.cache_ttl),
       queue_depth_(config.queue_depth),
-      intra_threads_(config.intra_threads),
       base_registry_capacity_(config.base_registry_capacity) {
-  if (intra_threads_ < 0) {
-    throw std::invalid_argument("ScheduleService: intra_threads must be >= 0 (0 = auto)");
-  }
   if (config.subgraph_cache_capacity > 0) {
     subgraph_cache_ = std::make_unique<SubgraphCache>(config.subgraph_cache_capacity);
   }
@@ -102,11 +98,6 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
       return admission;
     }
   }
-  // Resolve the request's execution-lane hint against the service default
-  // before anything derives from the request. The lane count is NOT part of
-  // the machine cache_key() (results are bit-identical at every value), so
-  // this cannot change which cache entry the request maps to.
-  request.machine.intra_threads = request.intra_threads.value_or(intra_threads_);
   // Memoizes inside the request, so the worker (and a fronting ShardRouter)
   // never re-derives it.
   const std::string& key = request.key();

@@ -40,13 +40,6 @@ struct ServiceConfig {
   /// typed `Rejected` outcome.
   std::size_t queue_depth = 0;
 
-  /// Default execution lanes for the scheduler's internal loops (1 = serial,
-  /// 0 = auto/hardware, N = up to N lanes), applied to every request that
-  /// does not set its own `ScheduleRequest::intra_threads`. A pure execution
-  /// knob: results are bit-identical at every value, so it never affects
-  /// request keys or cache hits.
-  std::int64_t intra_threads = 1;
-
   /// Optional per-entry time-to-live for the service-owned ScheduleCache:
   /// a cached result older than this reads as a miss and is recomputed
   /// (counted in the `cache_expired` stat). nullopt = results never age out.
@@ -212,7 +205,6 @@ class ScheduleService : public ScheduleBackend {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
   std::size_t queue_depth_ = 0;
-  std::int64_t intra_threads_ = 1;  ///< ServiceConfig default, see submit()
   std::atomic<bool> stopping_{false};
   const std::chrono::steady_clock::time_point start_time_ = std::chrono::steady_clock::now();
 

@@ -37,11 +37,6 @@ struct SimOptions {
   bool record_trace = false;
   /// Engine selection; see SimEngine.
   SimEngine engine = SimEngine::kAuto;
-  /// Execution lanes for the bulk-advance candidate-period prefilter
-  /// (1 = serial, 0 = hardware threads, N = up to N lanes). A pure execution
-  /// knob: results are bit-identical at every value, so it is excluded from
-  /// cache_key().
-  std::int64_t intra_threads = 1;
 
   /// Canonical text form of every result-affecting field, appended to
   /// schedule cache keys by requests that chain a simulation (sim set on

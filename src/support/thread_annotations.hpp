@@ -7,7 +7,7 @@
 /// Clang Thread Safety Analysis attribute macros plus annotated lock shims.
 ///
 /// Every mutex-holding component in the serving stack (ScheduleCache,
-/// SubgraphCache, PartitionCanonMemo, ScheduleService, ShardRouter, TaskPool,
+/// SubgraphCache, PartitionCanonMemo, ScheduleService, ShardRouter,
 /// TaskGraph's CSR rebuild) declares which members each lock protects
 /// (GUARDED_BY) and which capabilities each method needs (REQUIRES) or takes
 /// (ACQUIRE/RELEASE/EXCLUDES), so lock discipline is a *compile-time*

@@ -1,24 +1,16 @@
 #pragma once
 
-#include <cstdint>
-
 #include "support/arena.hpp"
-#include "support/parallel.hpp"
 
 namespace sts {
 
-/// Per-request execution resources for the scheduler hot paths: an Arena for
-/// allocation-free scratch plus the Parallel lanes resolved from the
-/// request's `intra_threads` knob. Owned by ScheduleContext and threaded
-/// through partitioning, ranking, and timing loops; every consumer accepts
-/// `Workspace* ws = nullptr` and falls back to a local serial workspace, so
-/// direct callers of the core algorithms are unaffected.
+/// Per-request scratch for the scheduler hot paths: an Arena for
+/// allocation-free O(n) buffers. Owned by ScheduleContext and threaded
+/// through partitioning and timing loops; every consumer accepts
+/// `Workspace* ws = nullptr` and falls back to a local workspace, so direct
+/// callers of the core algorithms are unaffected.
 struct Workspace {
   Arena arena;
-  Parallel parallel;
-
-  Workspace() = default;
-  explicit Workspace(std::int64_t intra_threads) : parallel(intra_threads) {}
 };
 
 }  // namespace sts

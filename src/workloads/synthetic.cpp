@@ -279,4 +279,24 @@ TaskGraph make_cholesky(int tiles, std::uint64_t seed, VolumeDistribution dist) 
   return canonical_from_topology(next, edges, seed, dist);
 }
 
+TaskGraph make_fanin_layered(int layers, int width, int fan_in, std::uint64_t seed) {
+  Prng rng(seed ^ 0x5851f42d4c957f2dULL);
+  const auto nodes = static_cast<std::int32_t>(layers * width);
+  std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+  edges.reserve(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(fan_in));
+  for (int l = 1; l < layers; ++l) {
+    const auto prev_base = static_cast<std::int32_t>((l - 1) * width);
+    const auto base = static_cast<std::int32_t>(l * width);
+    for (std::int32_t v = base; v < base + width; ++v) {
+      for (int k = 0; k < fan_in; ++k) {
+        edges.emplace_back(prev_base + static_cast<std::int32_t>(rng.uniform_int(0, width - 1)),
+                           v);
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return canonical_from_topology(nodes, edges, seed);
+}
+
 }  // namespace sts

@@ -78,4 +78,11 @@ struct LayeredSpec {
 [[nodiscard]] TaskGraph make_random_layered(const LayeredSpec& spec, std::uint64_t seed,
                                             VolumeDistribution dist = {});
 
+/// Layered DAG with exactly `width` nodes per layer and `fan_in` sampled
+/// predecessors (from the previous layer, deduplicated, so a node may end up
+/// with fewer) per non-entry node. O(layers * width * fan_in) to build,
+/// unlike LayeredSpec's per-pair coin flips, so it scales to 10^6 nodes.
+[[nodiscard]] TaskGraph make_fanin_layered(int layers, int width, int fan_in,
+                                           std::uint64_t seed);
+
 }  // namespace sts

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "graph/algorithms.hpp"
 #include "paper_examples.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -221,6 +222,37 @@ TEST(TaskGraph, ConcurrentFirstAccessIsSafe) {
     }
     for (std::thread& thread : threads) thread.join();
     for (const std::int64_t sum : sums) EXPECT_EQ(sum, sums[0]);
+  }
+}
+
+TEST(TopologicalWaves, EveryEdgePointsToALaterWave) {
+  const TaskGraph g = make_gaussian_elimination(6, 11);
+  const TopoWaves waves = topological_waves(g);
+  ASSERT_EQ(waves.order.size(), static_cast<std::size_t>(g.node_count()));
+  ASSERT_GE(waves.wave_count(), 1u);
+  // wave_of[v]: index of the wave containing v; every edge must point to a
+  // strictly later wave.
+  std::vector<std::size_t> wave_of(waves.order.size());
+  for (std::size_t w = 0; w + 1 < waves.offsets.size(); ++w) {
+    for (std::size_t i = waves.offsets[w]; i < waves.offsets[w + 1]; ++i) {
+      wave_of[static_cast<std::size_t>(waves.order[i])] = w;
+    }
+  }
+  for (const Edge& e : g.edges()) {
+    EXPECT_LT(wave_of[static_cast<std::size_t>(e.src)], wave_of[static_cast<std::size_t>(e.dst)]);
+  }
+  // Reverse waves: every edge points to a strictly later reverse-wave of its
+  // source, i.e. successors settle first.
+  const TopoWaves reverse = topological_waves(g, /*reverse=*/true);
+  std::vector<std::size_t> rev_wave_of(reverse.order.size());
+  for (std::size_t w = 0; w + 1 < reverse.offsets.size(); ++w) {
+    for (std::size_t i = reverse.offsets[w]; i < reverse.offsets[w + 1]; ++i) {
+      rev_wave_of[static_cast<std::size_t>(reverse.order[i])] = w;
+    }
+  }
+  for (const Edge& e : g.edges()) {
+    EXPECT_LT(rev_wave_of[static_cast<std::size_t>(e.dst)],
+              rev_wave_of[static_cast<std::size_t>(e.src)]);
   }
 }
 

@@ -183,6 +183,20 @@ TEST(ScheduleRequestJson, KeyExcludesDeliveryHints) {
   EXPECT_NE(a.key(), c.key());
 }
 
+TEST(ScheduleRequestJson, IntraThreadsMemberIsRefusedByName) {
+  // `intra_threads` is not an envelope member: an envelope carrying it must
+  // fail loudly, naming the member, instead of being silently ignored.
+  try {
+    (void)ScheduleRequest::from_json(
+        R"({"schema_version": 2, "scheduler": "streaming-rlx",
+            "graph": {"generator": "chain", "param": 4, "seed": 1},
+            "intra_threads": 4})");
+    FAIL() << "an envelope carrying intra_threads was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'intra_threads'"), std::string::npos) << e.what();
+  }
+}
+
 TEST(JsonParser, RejectsStructuralGarbage) {
   for (const char* text :
        {"{\"a\": 1,}", "[1, 2,]", "{\"a\" 1}", "{1: 2}", "\"unterminated", "[1 2]",
