@@ -1,5 +1,6 @@
 #include "graph/graph_edit.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <string_view>
@@ -150,44 +151,51 @@ GraphEdit graph_edit_from_json(const JsonValue& json) {
 }
 
 TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> edits) {
-  struct NodeDraft {
-    NodeKind kind;
-    std::string name;
-    std::int64_t declared_output;
-    bool alive;
-  };
-  struct EdgeDraft {
-    NodeId src;
-    NodeId dst;
-    std::int64_t volume;
-    bool alive;
-  };
+  // The edits apply to a copy's records in place. Until the list ends a
+  // record may hold a value the public mutators would refuse (a C++-built
+  // edit with a non-positive volume, a self loop): a later edit may still
+  // overwrite or remove it, so the checks run once, at the end, in the
+  // order a node-by-node then edge-by-edge rebuild would hit them.
+  TaskGraph out(base);
+  std::vector<TaskGraph::NodeRec>& nodes = out.nodes_;
+  std::vector<Edge>& edges = out.edges_;
+  const auto base_nodes = static_cast<NodeId>(base.node_count());
+  const auto base_edges = static_cast<EdgeId>(base.edge_count());
 
-  std::vector<NodeDraft> nodes;
-  nodes.reserve(base.node_count() + edits.size());
-  for (NodeId v = 0; static_cast<std::size_t>(v) < base.node_count(); ++v) {
-    nodes.push_back({base.kind(v), base.name(v), base.declared_output(v), true});
-  }
-  std::vector<EdgeDraft> edges;
-  edges.reserve(base.edge_count() + edits.size());
-  for (const Edge& edge : base.edges()) {
-    edges.push_back({edge.src, edge.dst, edge.volume, true});
-  }
+  // Removal marks, sized on the first removal (most edit lists have none).
+  std::vector<bool> node_dead;
+  std::vector<bool> edge_dead;
+  const auto dead = [](const std::vector<bool>& marks, std::int32_t id) {
+    return static_cast<std::size_t>(id) < marks.size() && marks[static_cast<std::size_t>(id)];
+  };
+  const auto mark = [](std::vector<bool>& marks, std::size_t size, std::int32_t id) {
+    if (marks.size() < size) marks.resize(size);
+    marks[static_cast<std::size_t>(id)] = true;
+  };
+  // Base edges whose volume an edit overwrote (checked at the end, with the
+  // added edges).
+  std::vector<EdgeId> written;
 
-  const auto check_alive = [&nodes](NodeId v, const char* role) {
+  const auto check_alive = [&](NodeId v, const char* role) {
     if (v < 0 || static_cast<std::size_t>(v) >= nodes.size()) {
       fail(std::string(role) + " node " + std::to_string(v) + " out of range");
     }
-    if (!nodes[static_cast<std::size_t>(v)].alive) {
-      fail(std::string(role) + " node " + std::to_string(v) + " was removed");
-    }
+    if (dead(node_dead, v)) fail(std::string(role) + " node " + std::to_string(v) + " was removed");
   };
-  // First not-yet-removed edge with the given endpoints, in insertion order.
-  const auto find_edge = [&edges](NodeId src, NodeId dst) -> EdgeDraft* {
-    for (EdgeDraft& edge : edges) {
-      if (edge.alive && edge.src == src && edge.dst == dst) return &edge;
+  // First not-yet-removed edge with the given endpoints, in insertion order:
+  // base edges (the base's out span of `src` lists them in id order) come
+  // before every added edge.
+  const auto find_edge = [&](NodeId src, NodeId dst) -> EdgeId {
+    if (src < base_nodes) {
+      for (const EdgeId e : base.out_edges(src)) {
+        if (edges[static_cast<std::size_t>(e)].dst == dst && !dead(edge_dead, e)) return e;
+      }
     }
-    return nullptr;
+    for (auto e = base_edges; static_cast<std::size_t>(e) < edges.size(); ++e) {
+      const Edge& edge = edges[static_cast<std::size_t>(e)];
+      if (edge.src == src && edge.dst == dst && !dead(edge_dead, e)) return e;
+    }
+    return -1;
   };
 
   for (const GraphEdit& edit : edits) {
@@ -196,29 +204,36 @@ TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> ed
         if (edit.kind == NodeKind::kSource && edit.volume <= 0) {
           fail("add_node source requires a positive output");
         }
-        nodes.push_back({edit.kind, edit.name, edit.volume, true});
+        nodes.push_back({edit.kind, edit.name, edit.volume});
         break;
-      case GraphEdit::Op::kRemoveNode:
+      case GraphEdit::Op::kRemoveNode: {
         check_alive(edit.node, "remove_node");
-        nodes[static_cast<std::size_t>(edit.node)].alive = false;
-        for (EdgeDraft& edge : edges) {
-          if (edge.src == edit.node || edge.dst == edit.node) edge.alive = false;
+        mark(node_dead, nodes.size(), edit.node);
+        const auto kill = [&](EdgeId e) { mark(edge_dead, edges.size(), e); };
+        if (edit.node < base_nodes) {
+          for (const EdgeId e : base.out_edges(edit.node)) kill(e);
+          for (const EdgeId e : base.in_edges(edit.node)) kill(e);
+        }
+        for (auto e = base_edges; static_cast<std::size_t>(e) < edges.size(); ++e) {
+          const Edge& edge = edges[static_cast<std::size_t>(e)];
+          if (edge.src == edit.node || edge.dst == edit.node) kill(e);
         }
         break;
+      }
       case GraphEdit::Op::kAddEdge:
         check_alive(edit.src, "add_edge src");
         check_alive(edit.dst, "add_edge dst");
-        edges.push_back({edit.src, edit.dst, edit.volume, true});
+        edges.push_back(Edge{edit.src, edit.dst, edit.volume});
         break;
       case GraphEdit::Op::kRemoveEdge: {
         check_alive(edit.src, "remove_edge src");
         check_alive(edit.dst, "remove_edge dst");
-        EdgeDraft* edge = find_edge(edit.src, edit.dst);
-        if (!edge) {
+        const EdgeId e = find_edge(edit.src, edit.dst);
+        if (e < 0) {
           fail("remove_edge: no edge " + std::to_string(edit.src) + " -> " +
                std::to_string(edit.dst));
         }
-        edge->alive = false;
+        mark(edge_dead, edges.size(), e);
         break;
       }
       case GraphEdit::Op::kSetOutput:
@@ -228,52 +243,88 @@ TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> ed
       case GraphEdit::Op::kSetEdgeVolume: {
         check_alive(edit.src, "set_edge_volume src");
         check_alive(edit.dst, "set_edge_volume dst");
-        EdgeDraft* edge = find_edge(edit.src, edit.dst);
-        if (!edge) {
+        const EdgeId e = find_edge(edit.src, edit.dst);
+        if (e < 0) {
           fail("set_edge_volume: no edge " + std::to_string(edit.src) + " -> " +
                std::to_string(edit.dst));
         }
-        edge->volume = edit.volume;
+        edges[static_cast<std::size_t>(e)].volume = edit.volume;
+        if (e < base_edges) written.push_back(e);
         break;
       }
     }
   }
 
-  // Dense renumbering in draft order; dead nodes drop out, everything else
-  // keeps its relative position so an undo list round-trips exactly.
-  std::vector<NodeId> remap(nodes.size(), -1);
-  TaskGraph out;
+  // Declared outputs: a source must keep a positive one; a sink holds none;
+  // a non-positive one on a compute or buffer node means "none declared".
   for (std::size_t v = 0; v < nodes.size(); ++v) {
-    const NodeDraft& draft = nodes[v];
-    if (!draft.alive) continue;
-    NodeId mapped = -1;
-    switch (draft.kind) {
+    if (dead(node_dead, static_cast<NodeId>(v))) continue;
+    std::int64_t& declared = nodes[v].declared_output;
+    switch (nodes[v].kind) {
       case NodeKind::kSource:
-        if (draft.declared_output <= 0) {
-          fail("node " + std::to_string(v) + ": source lost its declared output");
-        }
-        mapped = out.add_source(draft.declared_output, draft.name);
-        break;
-      case NodeKind::kCompute:
-        mapped = out.add_compute(draft.name);
-        if (draft.declared_output > 0) out.declare_output(mapped, draft.declared_output);
-        break;
-      case NodeKind::kBuffer:
-        mapped = out.add_buffer(draft.name);
-        if (draft.declared_output > 0) out.declare_output(mapped, draft.declared_output);
+        if (declared <= 0) fail("node " + std::to_string(v) + ": source lost its declared output");
         break;
       case NodeKind::kSink:
-        mapped = out.add_sink(draft.name);
+        declared = 0;
+        break;
+      case NodeKind::kCompute:
+      case NodeKind::kBuffer:
+        declared = std::max<std::int64_t>(declared, 0);
         break;
     }
-    remap[v] = mapped;
   }
-  for (const EdgeDraft& edge : edges) {
-    if (!edge.alive) continue;
-    out.add_edge(remap[static_cast<std::size_t>(edge.src)],
-                 remap[static_cast<std::size_t>(edge.dst)], edge.volume);
+  // Edge rules of TaskGraph::add_edge, over the edges the edits wrote
+  // (untouched base edges already satisfy them), in id order.
+  std::sort(written.begin(), written.end());
+  for (auto e = base_edges; static_cast<std::size_t>(e) < edges.size(); ++e) written.push_back(e);
+  for (const EdgeId e : written) {
+    const Edge& edge = edges[static_cast<std::size_t>(e)];
+    if (dead(edge_dead, e)) continue;
+    if (edge.volume <= 0) throw std::invalid_argument("add_edge: volume must be > 0");
+    if (edge.src == edge.dst) throw std::invalid_argument("add_edge: self loop");
+  }
+
+  // Dense renumbering: dead nodes and edges drop out, everything else keeps
+  // its relative position so an undo list round-trips exactly.
+  if (!node_dead.empty() || !edge_dead.empty()) {
+    std::vector<NodeId> remap(nodes.size(), kInvalidNode);
+    std::size_t kept = 0;
+    for (std::size_t v = 0; v < nodes.size(); ++v) {
+      if (dead(node_dead, static_cast<NodeId>(v))) continue;
+      remap[v] = static_cast<NodeId>(kept);
+      if (kept != v) nodes[kept] = std::move(nodes[v]);
+      ++kept;
+    }
+    nodes.resize(kept);
+    kept = 0;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (dead(edge_dead, static_cast<EdgeId>(e))) continue;
+      const Edge& edge = edges[e];
+      edges[kept++] = Edge{remap[static_cast<std::size_t>(edge.src)],
+                           remap[static_cast<std::size_t>(edge.dst)], edge.volume};
+    }
+    edges.resize(kept);
   }
   return out;
+}
+
+std::optional<std::vector<NodeId>> local_edit_scope(std::span<const GraphEdit> edits) {
+  std::vector<NodeId> scope;
+  scope.reserve(2 * edits.size());
+  for (const GraphEdit& edit : edits) {
+    if (edit.volume <= 0) return std::nullopt;
+    if (edit.op == GraphEdit::Op::kSetOutput) {
+      scope.push_back(edit.node);
+    } else if (edit.op == GraphEdit::Op::kSetEdgeVolume) {
+      scope.push_back(edit.src);
+      scope.push_back(edit.dst);
+    } else {
+      return std::nullopt;
+    }
+  }
+  std::sort(scope.begin(), scope.end());
+  scope.erase(std::unique(scope.begin(), scope.end()), scope.end());
+  return scope;
 }
 
 }  // namespace sts

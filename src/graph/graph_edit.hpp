@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,7 +70,22 @@ void append_graph_edit_json(std::string& out, const GraphEdit& edit);
 /// std::invalid_argument when an edit references an out-of-range or removed
 /// node, removes a nonexistent edge, or gives a non-positive volume where one
 /// is required. The result is NOT validated here; scheduling validates it.
+///
+/// Cost: one copy of the base's records and one pass over its nodes; per
+/// edit, a scan of the endpoints' base adjacency and of the edges added so
+/// far. Only an edit list that removes something pays an O(N + E)
+/// compaction at the end.
 [[nodiscard]] TaskGraph apply_graph_edits(const TaskGraph& base,
                                           std::span<const GraphEdit> edits);
+
+/// The nodes whose per-node validation rules a *local* edit list can change:
+/// a list whose every edit is a `set_output` or `set_edge_volume` with a
+/// positive volume, so the materialized graph keeps the base's node ids,
+/// kinds and adjacency. Returns the `set_output` nodes and both endpoints of
+/// every `set_edge_volume`, ascending and duplicate-free — the scope for
+/// TaskGraph::validate_nodes() over a valid base. nullopt for any other list:
+/// structural edits need the full validate().
+[[nodiscard]] std::optional<std::vector<NodeId>> local_edit_scope(
+    std::span<const GraphEdit> edits);
 
 }  // namespace sts

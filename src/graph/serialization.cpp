@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "support/hash.hpp"
 #include "support/text.hpp"
 
 namespace sts {
@@ -282,12 +283,12 @@ std::string canonical_fingerprint(const TaskGraph& graph) {
   };
   put64(static_cast<std::int64_t>(nodes));
   put64(static_cast<std::int64_t>(edges));
+  const std::span<const NodeProfile> profile = graph.profiles();
   for (NodeId v = 0; static_cast<std::size_t>(v) < nodes; ++v) {
     *p++ = static_cast<char>(graph.kind(v));
-    put64(graph.output_volume(v));
+    put64(profile[static_cast<std::size_t>(v)].out_volume);
   }
-  for (EdgeId e = 0; static_cast<std::size_t>(e) < edges; ++e) {
-    const Edge& edge = graph.edge(e);
+  for (const Edge& edge : graph.edges()) {
     put64(edge.src);
     put64(edge.dst);
     put64(edge.volume);
@@ -321,25 +322,6 @@ std::size_t distinct_classes(std::span<const NodeId> nodes,
   std::sort(scratch.begin(), scratch.end());
   return static_cast<std::size_t>(
       std::unique(scratch.begin(), scratch.end()) - scratch.begin());
-}
-
-// 8-bytes-at-a-time content digest used to bucket memo entries; probes
-// compare the full raw bytes, so this only has to spread, not to be
-// collision-free.
-std::uint64_t digest_bytes(const std::string& bytes) {
-  std::uint64_t h = avalanche(0x706d656dULL);  // arbitrary fixed seed
-  std::size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    std::uint64_t chunk = 0;
-    std::memcpy(&chunk, bytes.data() + i, 8);
-    h = hash_combine(h, chunk);
-  }
-  if (i < bytes.size()) {
-    std::uint64_t tail = 0;
-    std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
-    h = hash_combine(h, tail);
-  }
-  return hash_combine(h, bytes.size());
 }
 
 // Union-find weakly connected components + min-original-id labeling +
@@ -631,7 +613,7 @@ CanonicalPartitionIndex canonical_partition_index(
       ranks.rank.push_back(index.rank[static_cast<std::size_t>(v)]);
     }
     ranks.form = canonical_partition_form(graph, index, c);
-    ranks.form_digest = digest_bytes(ranks.form);
+    ranks.form_digest = fnv1a64(ranks.form);
     auto resident = memo->insert(raw_buf, std::move(ranks));
     if (entries) (*entries)[static_cast<std::size_t>(c)] = std::move(resident);
   }
@@ -640,7 +622,7 @@ CanonicalPartitionIndex canonical_partition_index(
 
 std::shared_ptr<const PartitionCanonMemo::Ranks> PartitionCanonMemo::find(
     const std::string& raw) {
-  const std::uint64_t digest = digest_bytes(raw);
+  const std::uint64_t digest = fnv1a64(raw);
   const MutexLock lock(mutex_);
   if (const auto bucket = buckets_.find(digest); bucket != buckets_.end()) {
     for (const auto it : bucket->second) {
@@ -659,7 +641,7 @@ std::shared_ptr<const PartitionCanonMemo::Ranks> PartitionCanonMemo::insert(std:
                                                                             Ranks ranks) {
   const std::size_t weight = ranks.hash.size();
   auto owned = std::make_shared<const Ranks>(std::move(ranks));
-  const std::uint64_t digest = digest_bytes(raw);
+  const std::uint64_t digest = fnv1a64(raw);
   const MutexLock lock(mutex_);
   auto& bucket = buckets_[digest];
   for (const auto it : bucket) {

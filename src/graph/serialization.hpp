@@ -119,8 +119,8 @@ class PartitionCanonMemo {
  public:
   /// Canonicalization of one partition, stored positionally: hash[i] and
   /// rank[i] belong to the node at ascending-original-id position i. `form`
-  /// is the partition's canonical_partition_form bytes and `form_digest` a
-  /// 64-bit content digest of it — pure functions of the raw content, kept
+  /// is the partition's canonical_partition_form bytes and `form_digest` its
+  /// fnv1a64 bucket digest — pure functions of the raw content, kept
   /// here so memo hits hand the fragment-cache key material over without
   /// re-walking the partition's edges or re-hashing kilobytes of form.
   struct Ranks {

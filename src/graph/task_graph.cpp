@@ -169,60 +169,72 @@ std::int64_t TaskGraph::total_work() const {
   return sum;
 }
 
-std::vector<std::string> TaskGraph::validate() const {
-  std::vector<std::string> issues;
-  const auto complain = [&issues](NodeId v, const std::string& what) {
+void TaskGraph::append_node_issues(NodeId v, std::vector<std::string>& issues) const {
+  const auto complain = [&issues, v](const std::string& what) {
     issues.push_back("node " + std::to_string(v) + ": " + what);
   };
+  const auto& rec = nodes_[static_cast<std::size_t>(v)];
+  const auto ins = in_edges(v);
+  const auto outs = out_edges(v);
 
+  // Canonicity: same volume on every input edge / every output edge.
+  for (const EdgeId e : ins) {
+    if (edge(e).volume != edge(ins.front()).volume) {
+      complain("input edges carry different volumes (" +
+               std::to_string(edge(ins.front()).volume) + " vs " +
+               std::to_string(edge(e).volume) + ")");
+      break;
+    }
+  }
+  for (const EdgeId e : outs) {
+    if (edge(e).volume != edge(outs.front()).volume) {
+      complain("output edges carry different volumes (" +
+               std::to_string(edge(outs.front()).volume) + " vs " +
+               std::to_string(edge(e).volume) + ")");
+      break;
+    }
+  }
+  if (rec.declared_output != 0 && !outs.empty() &&
+      rec.declared_output != edge(outs.front()).volume) {
+    complain("declared output volume " + std::to_string(rec.declared_output) +
+             " contradicts out-edge volume " + std::to_string(edge(outs.front()).volume));
+  }
+
+  switch (rec.kind) {
+    case NodeKind::kSource:
+      if (!ins.empty()) complain("source has input edges");
+      if (rec.declared_output <= 0) complain("source without declared output volume");
+      break;
+    case NodeKind::kSink:
+      if (!outs.empty()) complain("sink has output edges");
+      if (ins.empty()) complain("sink without input edges");
+      break;
+    case NodeKind::kCompute:
+      if (ins.empty()) complain("compute node without inputs (use add_source)");
+      if (outs.empty() && rec.declared_output <= 0) {
+        complain("exit compute node without declared output volume");
+      }
+      break;
+    case NodeKind::kBuffer:
+      if (ins.empty()) complain("buffer node without inputs");
+      if (outs.empty()) complain("buffer node without outputs");
+      break;
+  }
+}
+
+std::vector<std::string> TaskGraph::validate_nodes(std::span<const NodeId> scope) const {
+  std::vector<std::string> issues;
+  for (const NodeId v : scope) {
+    check_node(v);
+    append_node_issues(v, issues);
+  }
+  return issues;
+}
+
+std::vector<std::string> TaskGraph::validate() const {
+  std::vector<std::string> issues;
   for (NodeId v = 0; static_cast<std::size_t>(v) < nodes_.size(); ++v) {
-    const auto& rec = nodes_[static_cast<std::size_t>(v)];
-    const auto ins = in_edges(v);
-    const auto outs = out_edges(v);
-
-    // Canonicity: same volume on every input edge / every output edge.
-    for (const EdgeId e : ins) {
-      if (edge(e).volume != edge(ins.front()).volume) {
-        complain(v, "input edges carry different volumes (" +
-                        std::to_string(edge(ins.front()).volume) + " vs " +
-                        std::to_string(edge(e).volume) + ")");
-        break;
-      }
-    }
-    for (const EdgeId e : outs) {
-      if (edge(e).volume != edge(outs.front()).volume) {
-        complain(v, "output edges carry different volumes (" +
-                        std::to_string(edge(outs.front()).volume) + " vs " +
-                        std::to_string(edge(e).volume) + ")");
-        break;
-      }
-    }
-    if (rec.declared_output != 0 && !outs.empty() &&
-        rec.declared_output != edge(outs.front()).volume) {
-      complain(v, "declared output volume " + std::to_string(rec.declared_output) +
-                      " contradicts out-edge volume " + std::to_string(edge(outs.front()).volume));
-    }
-
-    switch (rec.kind) {
-      case NodeKind::kSource:
-        if (!ins.empty()) complain(v, "source has input edges");
-        if (rec.declared_output <= 0) complain(v, "source without declared output volume");
-        break;
-      case NodeKind::kSink:
-        if (!outs.empty()) complain(v, "sink has output edges");
-        if (ins.empty()) complain(v, "sink without input edges");
-        break;
-      case NodeKind::kCompute:
-        if (ins.empty()) complain(v, "compute node without inputs (use add_source)");
-        if (outs.empty() && rec.declared_output <= 0) {
-          complain(v, "exit compute node without declared output volume");
-        }
-        break;
-      case NodeKind::kBuffer:
-        if (ins.empty()) complain(v, "buffer node without inputs");
-        if (outs.empty()) complain(v, "buffer node without outputs");
-        break;
-    }
+    append_node_issues(v, issues);
   }
 
   for (const Edge& e : edges_) {

@@ -15,6 +15,8 @@ using NodeId = std::int32_t;
 using EdgeId = std::int32_t;
 inline constexpr NodeId kInvalidNode = -1;
 
+struct GraphEdit;
+
 /// Canonical node kinds (paper Section 3.1).
 enum class NodeKind : std::uint8_t {
   kSource,   ///< reads its output from global memory; no production rate
@@ -194,9 +196,19 @@ class TaskGraph {
   [[nodiscard]] bool is_upsampler(NodeId v) const { return rate(v) > Rational(1); }
 
   /// All structural/canonicity violations; empty means the graph is a valid
-  /// canonical task graph (per-node volume rules, DAG-ness, buffer placement
+  /// canonical task graph. Two rule sets: the per-node rules (volume
+  /// canonicity, declared outputs, per-kind degree rules) for every node in
+  /// id order, then the structural rules, which read only adjacency and node
+  /// kinds (no buffer feeding a buffer, DAG-ness, and the buffer placement
   /// rule of Section 4.2.3).
   [[nodiscard]] std::vector<std::string> validate() const;
+
+  /// The per-node rules of validate() over `scope`, an ascending list of
+  /// node ids. For a graph derived from a valid one by changing only edge
+  /// volumes and declared outputs (same nodes, kinds and adjacency), the
+  /// structural rules cannot change and no untouched node's rules can, so
+  /// validate_nodes(touched nodes) == validate(), message for message.
+  [[nodiscard]] std::vector<std::string> validate_nodes(std::span<const NodeId> scope) const;
 
   /// Throws std::invalid_argument listing all violations, if any.
   void validate_or_throw() const;
@@ -208,8 +220,15 @@ class TaskGraph {
     std::int64_t declared_output = 0;  // 0 = not declared
   };
 
+  // Edit materialization applies an edit list to a copy's records in place
+  // (holding a non-positive volume until the list ends, as a later edit may
+  // overwrite it) and restores every invariant the public mutators enforce
+  // before it returns.
+  friend TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> edits);
+
   NodeId add_node(NodeKind kind, std::string name);
   void check_node(NodeId v) const;
+  void append_node_issues(NodeId v, std::vector<std::string>& issues) const;
   void ensure_csr() const {
     if (!csr_ready_.load(std::memory_order_acquire)) rebuild_csr();
   }

@@ -42,7 +42,7 @@ class Digest {
   }
 
   [[nodiscard]] std::uint64_t finish() const noexcept {
-    // Final avalanche, mirroring fnv1a64 in schedule_cache.cpp.
+    // Final avalanche, mirroring fnv1a64 in support/hash.hpp.
     std::uint64_t h = hash_;
     h ^= h >> 32;
     h *= 0xd6e8feb86659fd93ULL;

@@ -1,6 +1,5 @@
 #include "pipeline/schedule_cache.hpp"
 
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -38,30 +37,6 @@ std::string canonical_cache_key(const TaskGraph& graph, std::string_view schedul
   key += '\n';
   key += canonical_fingerprint(graph);
   return key;
-}
-
-std::uint64_t fnv1a64(std::string_view text) noexcept {
-  // FNV-1a over 8-byte words with a final avalanche. Word-at-a-time keeps
-  // the multiply dependency chain off the cache-hit critical path (the
-  // byte-serial variant costs ~3 cycles per byte, which dominates hits on
-  // multi-kilobyte keys); the avalanche restores diffusion across the word.
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const char* p = text.data();
-  std::size_t n = text.size();
-  while (n >= 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p, 8);
-    hash = (hash ^ word) * 0x100000001b3ULL;
-    p += 8;
-    n -= 8;
-  }
-  std::uint64_t tail = 0;
-  if (n > 0) std::memcpy(&tail, p, n);
-  hash = (hash ^ (tail + n)) * 0x100000001b3ULL;
-  hash ^= hash >> 32;
-  hash *= 0xd6e8feb86659fd93ULL;
-  hash ^= hash >> 32;
-  return hash;
 }
 
 ScheduleCache::ScheduleCache(std::size_t capacity, std::optional<std::chrono::nanoseconds> ttl)
@@ -122,7 +97,18 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_schedule(const TaskGraph& graph,
 ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
     std::string key, const std::function<ScheduleResult()>& compute, std::size_t weight) {
   const std::uint64_t hash = fnv1a64(key);
+  return get_or_compute(hash, std::move(key), compute, weight);
+}
 
+void ScheduleCache::end_flight_locked(std::uint64_t hash, const std::string* key) {
+  const auto bucket = in_flight_.find(hash);
+  std::erase_if(bucket->second, [key](const InFlight& f) { return f.key == key; });
+  if (bucket->second.empty()) in_flight_.erase(bucket);
+}
+
+ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
+    std::uint64_t hash, std::string key, const std::function<ScheduleResult()>& compute,
+    std::size_t weight) {
   std::shared_future<Flight> pending;
   // Constructed only on the miss path: a promise allocates shared state,
   // which the hit path (the whole point of the cache) must not pay for.
@@ -137,13 +123,22 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
       }
       erase_expired_locked(it);  // fall through: this lookup is a miss (or a race)
     }
-    if (const auto flight = in_flight_.find(key); flight != in_flight_.end()) {
+    if (const auto bucket = in_flight_.find(hash); bucket != in_flight_.end()) {
+      for (const InFlight& f : bucket->second) {
+        if (*f.key == key) {
+          pending = f.flight;
+          break;
+        }
+      }
+    }
+    if (pending.valid()) {
       ++stats_.races;
-      pending = flight->second;
     } else {
       ++stats_.misses;
       promise.emplace();
-      in_flight_.emplace(key, promise->get_future().share());
+      // Records a pointer to this frame's key, not a copy: the record is
+      // removed (under this lock) before the key is moved or destroyed.
+      in_flight_[hash].push_back(InFlight{&key, promise->get_future().share()});
     }
   }
   // Race loser: share the in-flight computation. A failure arrives as a
@@ -163,7 +158,7 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
   } catch (...) {
     {
       const MutexLock lock(mutex_);
-      in_flight_.erase(key);  // next request for this key retries
+      end_flight_locked(hash, &key);  // next request for this key retries
     }
     // Settle the losers with the error detail as a value, then rethrow the
     // original exception locally for this caller.
@@ -172,7 +167,7 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
   }
   {
     const MutexLock lock(mutex_);
-    in_flight_.erase(key);
+    end_flight_locked(hash, &key);
     if (weight == 0) weight = 1;
     if (weight > capacity_) {
       // Admission refusal: an entry heavier than the whole capacity can
@@ -193,7 +188,10 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
 }
 
 ScheduleCache::ResultPtr ScheduleCache::try_get(std::string_view key) {
-  const std::uint64_t hash = fnv1a64(key);
+  return try_get(fnv1a64(key), key);
+}
+
+ScheduleCache::ResultPtr ScheduleCache::try_get(std::uint64_t hash, std::string_view key) {
   const MutexLock lock(mutex_);
   const Lru::const_iterator it = find_entry_locked(hash, key);
   if (it == lru_.cend()) return nullptr;

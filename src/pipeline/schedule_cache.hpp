@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "pipeline/scheduler.hpp"
+#include "support/hash.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace sts {
@@ -26,10 +27,6 @@ namespace sts {
 [[nodiscard]] std::string canonical_cache_key(const TaskGraph& graph,
                                               std::string_view scheduler,
                                               const MachineConfig& machine);
-
-/// 64-bit key hash (the bucket index of ScheduleCache entries): FNV-1a over
-/// 8-byte words with a final avalanche mix.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view text) noexcept;
 
 /// Memoizes full pipeline results keyed by the canonical graph+config hash,
 /// in the spirit of the program caches of dataflow runtimes: repeated
@@ -120,10 +117,18 @@ class ScheduleCache {
   [[nodiscard]] ResultPtr get_or_schedule(const TaskGraph& graph, std::string_view scheduler,
                                           const MachineConfig& machine) EXCLUDES(mutex_);
 
-  /// Core single-flight lookup under an arbitrary precomputed key: returns
-  /// the cached result, or runs `compute` (outside the cache lock, exactly
-  /// once per key across all concurrent callers) and caches it with the
-  /// given admission weight (clamped to >= 1).
+  /// Core single-flight lookup under an arbitrary precomputed key and its
+  /// caller-supplied bucket hash (a request hashes its key once; see
+  /// ScheduleRequest::key_hash()): returns the cached result, or runs
+  /// `compute` (outside the cache lock, exactly once per key across all
+  /// concurrent callers) and caches it with the given admission weight
+  /// (clamped to >= 1). The hash only selects a bucket — entries and
+  /// in-flight computations are matched by the full key — so a caller must
+  /// use one hash per key consistently, but a collision is never wrong.
+  [[nodiscard]] ResultPtr get_or_compute(std::uint64_t hash, std::string key,
+                                         const std::function<ScheduleResult()>& compute,
+                                         std::size_t weight = 1) EXCLUDES(mutex_);
+  /// For callers without a request: hashes `key` with fnv1a64.
   [[nodiscard]] ResultPtr get_or_compute(std::string key,
                                          const std::function<ScheduleResult()>& compute,
                                          std::size_t weight = 1) EXCLUDES(mutex_);
@@ -131,6 +136,8 @@ class ScheduleCache {
   /// Non-blocking probe: the completed entry for `key` (bumping its recency
   /// and counting a hit), or nullptr. Absence is not counted as a miss —
   /// callers fall through to get_or_compute, which classifies the lookup.
+  [[nodiscard]] ResultPtr try_get(std::uint64_t hash, std::string_view key) EXCLUDES(mutex_);
+  /// For callers without a request: hashes `key` with fnv1a64.
   [[nodiscard]] ResultPtr try_get(std::string_view key) EXCLUDES(mutex_);
 
   /// True if a completed, unexpired entry for `key` is cached. No recency
@@ -173,6 +180,13 @@ class ScheduleCache {
     std::chrono::steady_clock::time_point inserted;
   };
   using Lru = std::list<Entry>;
+  /// A computation in progress: the computing caller's key (alive on its
+  /// stack until it removes this record, under the lock) and the future its
+  /// race losers wait on.
+  struct InFlight {
+    const std::string* key;
+    std::shared_future<Flight> flight;
+  };
 
   [[nodiscard]] Lru::const_iterator find_entry_locked(std::uint64_t hash,
                                                       std::string_view key) const
@@ -180,13 +194,13 @@ class ScheduleCache {
   [[nodiscard]] bool is_expired_locked(const Entry& entry) const REQUIRES(mutex_);
   void erase_expired_locked(Lru::const_iterator it) REQUIRES(mutex_);
   void evict_to_capacity_locked() REQUIRES(mutex_);
+  void end_flight_locked(std::uint64_t hash, const std::string* key) REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   Lru lru_ GUARDED_BY(mutex_);  ///< front = most recently used
   std::unordered_map<std::uint64_t, std::vector<Lru::const_iterator>> buckets_
       GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::shared_future<Flight>> in_flight_
-      GUARDED_BY(mutex_);
+  std::unordered_map<std::uint64_t, std::vector<InFlight>> in_flight_ GUARDED_BY(mutex_);
   std::size_t capacity_ GUARDED_BY(mutex_);
   /// nullopt = never expire.
   std::optional<std::chrono::nanoseconds> ttl_ GUARDED_BY(mutex_);

@@ -6,6 +6,7 @@
 
 #include "graph/serialization.hpp"
 #include "pipeline/schedule_cache.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 #include "support/text.hpp"
 #include "workloads/synthetic.hpp"
@@ -107,8 +108,15 @@ const std::string& ScheduleRequest::key() const {
     key += '\n';
     key += sim->cache_key();
   }
+  key_.hash = fnv1a64(key);
+  key_.hashed = true;
   key_.value = std::move(key);
   return key_.value;
+}
+
+std::uint64_t ScheduleRequest::key_hash() const {
+  if (!key_.hashed) (void)key();
+  return key_.hash;
 }
 
 std::string ScheduleRequest::release_key() {
@@ -117,7 +125,7 @@ std::string ScheduleRequest::release_key() {
 }
 
 std::string ScheduleRequest::key_digest() const {
-  std::uint64_t hash = fnv1a64(key());
+  std::uint64_t hash = key_hash();
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
     out[static_cast<std::size_t>(i)] = "0123456789abcdef"[hash & 0xf];

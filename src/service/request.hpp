@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_edit.hpp"
@@ -124,15 +125,24 @@ struct ScheduleRequest {
   /// re-copying. The memo is left empty; a later key() recomputes.
   [[nodiscard]] std::string release_key();
 
-  /// 16-hex-digit digest of key(): the compact request identity delta
-  /// requests name in `base_key`, and exactly the fnv1a64 hash a ShardRouter
-  /// routes the request by.
+  /// fnv1a64(key()), memoized beside the key and computed with it: the one
+  /// hash of a request's (megabyte-sized, for large graphs) key that the
+  /// service's shard index, the ScheduleCache buckets and ShardRouter
+  /// routing all share. Survives release_key().
+  [[nodiscard]] std::uint64_t key_hash() const;
+
+  /// 16-hex-digit form of key_hash(): the compact request identity delta
+  /// requests name in `base_key`, and exactly the hash a ShardRouter routes
+  /// the request by.
   [[nodiscard]] std::string key_digest() const;
 
   /// Drops the key() memo. Must be called after mutating any key-relevant
   /// field in place (the service does this when it materializes a delta
   /// request's graph) — a stale memo would serve the wrong identity.
-  void invalidate_key() noexcept { key_.value.clear(); }
+  void invalidate_key() noexcept {
+    key_.value.clear();
+    key_.hashed = false;
+  }
 
   /// One-line JSON rendering of the envelope (the sweep scenario-file
   /// format). Omits members that hold their default value.
@@ -152,12 +162,23 @@ struct ScheduleRequest {
     MemoizedKey(const MemoizedKey&) noexcept {}
     MemoizedKey& operator=(const MemoizedKey&) noexcept {
       value.clear();
+      hashed = false;
       return *this;
     }
-    MemoizedKey(MemoizedKey&&) noexcept = default;
-    MemoizedKey& operator=(MemoizedKey&&) noexcept = default;
+    MemoizedKey(MemoizedKey&& other) noexcept
+        : value(std::move(other.value)), hash(other.hash), hashed(other.hashed) {
+      other.hashed = false;
+    }
+    MemoizedKey& operator=(MemoizedKey&& other) noexcept {
+      value = std::move(other.value);
+      hash = other.hash;
+      hashed = std::exchange(other.hashed, false);
+      return *this;
+    }
 
     std::string value;
+    std::uint64_t hash = 0;  ///< fnv1a64(value); valid iff `hashed`
+    bool hashed = false;     ///< stays set when release_key() empties `value`
   };
   mutable MemoizedKey key_;  ///< memoized by key()
 };

@@ -57,30 +57,12 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
   // indistinguishable from the equivalent whole-graph request. Resolution
   // failures (unknown base, invalid edit) settle through the returned future
   // so the service itself stays healthy.
+  Validity validity = Validity::kUnknown;
   if (request.base_key.has_value()) {
     const bool delta_simulate = request.sim.has_value();
     try {
-      const std::shared_ptr<const TaskGraph> base = find_base(*request.base_key);
-      if (!base) {
-        throw std::invalid_argument("ScheduleService: unknown base_key '" + *request.base_key +
-                                    "' (never submitted here, or aged out of the base registry)");
-      }
-      request.graph = apply_graph_edits(*base, request.edits);
-      // Validate the composed graph NOW, not at schedule time: the cache key
-      // hashes *derived* volumes (canonical_fingerprint uses out-edge
-      // volumes, not declared-output records), so an edit list composing a
-      // non-canonical graph — say a retuned output contradicting its
-      // out-edge volume — would alias its still-valid base's key and
-      // silently return the base's cached result instead of failing.
-      if (const std::vector<std::string> violations = request.graph.validate();
-          !violations.empty()) {
-        std::string message = "ScheduleService: edits compose an invalid graph:";
-        for (const std::string& v : violations) {
-          message += "\n  - ";
-          message += v;
-        }
-        throw std::invalid_argument(message);
-      }
+      request.graph = materialize_delta(request);
+      validity = Validity::kValid;
       // The request identity changed with the graph: drop any memoized key.
       // (A fronting ShardRouter routes deltas by base_key without touching
       // key(), but a caller may have.)
@@ -98,12 +80,13 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
       return admission;
     }
   }
-  // Memoizes inside the request, so the worker (and a fronting ShardRouter)
-  // never re-derives it.
+  // Memoizes the key and its hash inside the request, so the worker (and a
+  // fronting ShardRouter) never re-derives either.
   const std::string& key = request.key();
+  const std::uint64_t key_hash = request.key_hash();
   // Every submitted request can serve as a delta base — including a
   // materialized delta, so edit chains resolve link by link.
-  remember_base(request.key_digest(), request.graph);
+  remember_base(request.key_digest(), request.graph, validity);
   const bool simulate = request.sim.has_value();
   std::promise<Settled> promise;
   Admission admission{Future(promise.get_future()), std::nullopt};
@@ -115,7 +98,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
 
   // Fast path: an already-completed result resolves synchronously without a
   // queue round trip. Admission control never refuses a cached answer.
-  if (ResultPtr hit = cache_.try_get(key)) {
+  if (ResultPtr hit = cache_.try_get(key_hash, key)) {
     promise.set_value(Settled{std::move(hit), {}, false, std::nullopt});
     {
       const MutexLock lock(stats_mutex_);
@@ -128,7 +111,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
 
   // Shard by cache-key hash: identical scenarios serialize on one worker (in
   // submission order), distinct ones spread across the pool.
-  const std::size_t shard_index = fnv1a64(key) % shards_.size();
+  const std::size_t shard_index = key_hash % shards_.size();
   Shard& shard = *shards_[shard_index];
   try {
     MutexLock lock(shard.mutex);
@@ -243,8 +226,8 @@ void ScheduleService::worker_loop(Shard& shard) {
     Settled settled;
     try {
       settled.result = cache_.get_or_compute(
-          job.request.release_key(), [this, &job] { return compute_job(job); },
-          job.request.graph.node_count());
+          job.request.key_hash(), job.request.release_key(),
+          [this, &job] { return compute_job(job); }, job.request.graph.node_count());
     } catch (...) {
       settled = settled_from_flight(ScheduleCache::settle_current_exception());
     }
@@ -254,28 +237,90 @@ void ScheduleService::worker_loop(Shard& shard) {
   }
 }
 
-void ScheduleService::remember_base(const std::string& digest, const TaskGraph& graph) {
-  if (base_registry_capacity_ == 0) return;
-  const MutexLock lock(bases_mutex_);
-  if (const auto it = bases_.find(digest); it != bases_.end()) {
-    // Known digest: just refresh recency, sparing the graph copy.
-    bases_lru_.splice(bases_lru_.begin(), bases_lru_, it->second);
-    return;
+TaskGraph ScheduleService::materialize_delta(const ScheduleRequest& request) {
+  const std::string& digest = *request.base_key;
+  const Base base = find_base(digest);
+  if (!base.graph) {
+    throw std::invalid_argument("ScheduleService: unknown base_key '" + digest +
+                                "' (never submitted here, or aged out of the base registry)");
   }
-  bases_lru_.emplace_front(digest, std::make_shared<const TaskGraph>(graph));
+  TaskGraph graph = apply_graph_edits(*base.graph, request.edits);
+  // Validate the composed graph NOW, not at schedule time: the cache key
+  // hashes *derived* volumes (canonical_fingerprint uses out-edge volumes,
+  // not declared-output records), so an edit list composing a non-canonical
+  // graph — say a retuned output contradicting its out-edge volume — would
+  // alias its still-valid base's key and silently return the base's cached
+  // result instead of failing.
+  //
+  // A local edit list keeps node ids, kinds and adjacency, so over a valid
+  // base only the touched nodes' rules can report anything and validating
+  // them yields the full violation list. A base of unknown validity is
+  // validated in full once, here, and the outcome kept in its entry; every
+  // other case validates the whole composed graph.
+  const std::optional<std::vector<NodeId>> scope = local_edit_scope(request.edits);
+  Validity validity = base.validity;
+  if (scope && validity == Validity::kUnknown) {
+    validity = base.graph->validate().empty() ? Validity::kValid : Validity::kInvalid;
+    note_base_validity(digest, base.graph.get(), validity);
+  }
+  const std::vector<std::string> violations = scope && validity == Validity::kValid
+                                                  ? graph.validate_nodes(*scope)
+                                                  : graph.validate();
+  if (!violations.empty()) {
+    std::string message = "ScheduleService: edits compose an invalid graph:";
+    for (const std::string& v : violations) {
+      message += "\n  - ";
+      message += v;
+    }
+    throw std::invalid_argument(message);
+  }
+  return graph;
+}
+
+ScheduleService::Base* ScheduleService::touch_base_locked(const std::string& digest) {
+  const auto it = bases_.find(digest);
+  if (it == bases_.end()) return nullptr;
+  bases_lru_.splice(bases_lru_.begin(), bases_lru_, it->second);
+  return &it->second->base;
+}
+
+void ScheduleService::remember_base(const std::string& digest, const TaskGraph& graph,
+                                    Validity validity) {
+  if (base_registry_capacity_ == 0) return;
+  {
+    const MutexLock lock(bases_mutex_);
+    // Known digest: just refresh recency, sparing the graph copy.
+    if (touch_base_locked(digest) != nullptr) return;
+  }
+  // Copy (and free evicted graphs) outside the lock, where it does not stall
+  // find_base on other submitting threads.
+  auto copy = std::make_shared<const TaskGraph>(graph);
+  std::vector<std::shared_ptr<const TaskGraph>> evicted;
+  const MutexLock lock(bases_mutex_);
+  // A concurrent submission may have registered the digest meanwhile; its
+  // entry stands and this copy is dropped.
+  if (touch_base_locked(digest) != nullptr) return;
+  bases_lru_.push_front(BaseEntry{digest, Base{std::move(copy), validity}});
   bases_.emplace(digest, bases_lru_.begin());
   while (bases_.size() > base_registry_capacity_) {
-    bases_.erase(bases_lru_.back().first);
+    evicted.push_back(std::move(bases_lru_.back().base.graph));
+    bases_.erase(bases_lru_.back().digest);
     bases_lru_.pop_back();
   }
 }
 
-std::shared_ptr<const TaskGraph> ScheduleService::find_base(const std::string& digest) {
+ScheduleService::Base ScheduleService::find_base(const std::string& digest) {
   const MutexLock lock(bases_mutex_);
-  const auto it = bases_.find(digest);
-  if (it == bases_.end()) return nullptr;
-  bases_lru_.splice(bases_lru_.begin(), bases_lru_, it->second);
-  return it->second->second;
+  const Base* base = touch_base_locked(digest);
+  return base != nullptr ? *base : Base{};
+}
+
+void ScheduleService::note_base_validity(const std::string& digest, const TaskGraph* graph,
+                                         Validity validity) {
+  const MutexLock lock(bases_mutex_);
+  if (Base* base = touch_base_locked(digest); base != nullptr && base->graph.get() == graph) {
+    base->validity = validity;
+  }
 }
 
 void ScheduleService::finish_one(bool failed) {

@@ -54,7 +54,10 @@ struct ServiceConfig {
   /// Entries kept in the base-request registry that delta requests resolve
   /// their `base_key` against (LRU of materialized graphs, keyed by
   /// key_digest()). Every submitted request is remembered, so any recent
-  /// request — including a materialized delta — can serve as a base.
+  /// request — including a materialized delta — can serve as a base. Each
+  /// entry also records whether its graph is known to validate: a
+  /// materialized delta is (it passed validation), a whole-graph request's
+  /// graph is validated once, on the first local delta against it.
   std::size_t base_registry_capacity = 1024;
 };
 
@@ -63,7 +66,7 @@ struct ServiceConfig {
 /// ScheduleCache.
 ///
 /// Each request is keyed by `ScheduleRequest::key()` and sharded to the
-/// worker `fnv1a64(key) % num_workers`, so identical scenarios land on the
+/// worker `key_hash() % num_workers`, so identical scenarios land on the
 /// same queue in order; together with the cache's single-flight miss path
 /// this guarantees that N concurrent submissions of the same scenario run
 /// the scheduling pipeline exactly once and share one immutable result.
@@ -192,13 +195,36 @@ class ScheduleService : public ScheduleBackend {
   void worker_loop(Shard& shard) EXCLUDES(stats_mutex_);
   void finish_one(bool failed) EXCLUDES(stats_mutex_);
 
+  /// What the base registry knows of a stored graph's validate() result.
+  enum class Validity : std::uint8_t { kUnknown, kValid, kInvalid };
+  struct Base {
+    std::shared_ptr<const TaskGraph> graph;  ///< null = digest not registered
+    Validity validity = Validity::kUnknown;
+  };
+  struct BaseEntry {
+    std::string digest;
+    Base base;
+  };
+
+  /// Resolves a delta request's base, applies its edits and validates the
+  /// composed graph. Throws std::invalid_argument on an unknown base, a bad
+  /// edit, or an invalid composition.
+  [[nodiscard]] TaskGraph materialize_delta(const ScheduleRequest& request)
+      EXCLUDES(bases_mutex_);
+
   /// Remembers `graph` as a possible delta base under the request digest
   /// (bounded LRU; an already-known digest is just refreshed, sparing the
-  /// graph copy on repeated submissions of one scenario).
-  void remember_base(const std::string& digest, const TaskGraph& graph)
+  /// graph copy on repeated submissions of one scenario). The copy is made
+  /// outside the registry lock.
+  void remember_base(const std::string& digest, const TaskGraph& graph, Validity validity)
       EXCLUDES(bases_mutex_);
-  [[nodiscard]] std::shared_ptr<const TaskGraph> find_base(const std::string& digest)
+  [[nodiscard]] Base find_base(const std::string& digest) EXCLUDES(bases_mutex_);
+  /// Stores the outcome of validating a registered graph in full; a no-op if
+  /// the digest has since been re-registered with another graph object.
+  void note_base_validity(const std::string& digest, const TaskGraph* graph, Validity validity)
       EXCLUDES(bases_mutex_);
+  /// The entry under `digest` moved to the LRU front, or nullptr.
+  [[nodiscard]] Base* touch_base_locked(const std::string& digest) REQUIRES(bases_mutex_);
 
   ScheduleCache cache_;
   std::unique_ptr<SubgraphCache> subgraph_cache_;  ///< null = disabled
@@ -210,8 +236,7 @@ class ScheduleService : public ScheduleBackend {
 
   /// Base-request registry for delta resolution: digest -> materialized graph.
   mutable Mutex bases_mutex_;
-  std::list<std::pair<std::string, std::shared_ptr<const TaskGraph>>> bases_lru_
-      GUARDED_BY(bases_mutex_);
+  std::list<BaseEntry> bases_lru_ GUARDED_BY(bases_mutex_);
   std::unordered_map<std::string, decltype(bases_lru_)::iterator> bases_
       GUARDED_BY(bases_mutex_);
   std::size_t base_registry_capacity_ = 0;

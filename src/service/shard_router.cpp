@@ -29,7 +29,7 @@ bool parse_digest(std::string_view digest, std::uint64_t& hash) {
 }
 
 /// The 64-bit hash a request routes by. A delta request routes by the digest
-/// it names: `key_digest()` is the hex form of fnv1a64(key), i.e. exactly the
+/// it names: `key_digest()` is the hex form of key_hash(), i.e. exactly the
 /// hash its base request was routed by — so the delta lands on the backend
 /// whose base registry holds the graph and whose fragment cache is warm.
 /// key() must not be touched on a delta (its graph is not materialized yet;
@@ -41,7 +41,7 @@ std::uint64_t routing_hash(const ScheduleRequest& request) {
     if (parse_digest(*request.base_key, hash)) return hash;
     return fnv1a64(*request.base_key);
   }
-  return fnv1a64(request.key());
+  return request.key_hash();
 }
 
 }  // namespace

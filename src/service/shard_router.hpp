@@ -49,8 +49,8 @@ struct RouterConfig {
 ///
 /// Routing: each backend owns `virtual_nodes` points on a 64-bit ring,
 /// placed at `fnv1a64("backend <i> vnode <j>")`; a request routes to the
-/// owner of the first ring point at or after `fnv1a64(request.key())`
-/// (wrapping). Identical requests therefore always land on the same backend
+/// owner of the first ring point at or after `request.key_hash()` (the
+/// memoized fnv1a64 of its key, wrapping). Identical requests therefore always land on the same backend
 /// (whose own key-sharding then serializes them onto one worker and
 /// single-flights the computation), and resizing from N to N+1 backends
 /// only moves the keys now owned by the new backend — every other key keeps

@@ -11,9 +11,13 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,6 +32,7 @@
 #include "service/schedule_service.hpp"
 #include "service/shard_router.hpp"
 #include "support/json.hpp"
+#include "support/prng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace sts {
@@ -449,6 +454,426 @@ TEST(GraphEdit, RejectsInvalidEdits) {
   }
 }
 
+// ------------------------------------------- in-place edits vs draft rebuild
+
+/// The draft-rebuild materialization that apply_graph_edits replaced, kept
+/// verbatim as the reference: every node and edge becomes a draft record,
+/// the edits flip and rewrite drafts, and a fresh graph is rebuilt through
+/// the public mutators. apply_graph_edits must agree with it record for
+/// record, and fail with the same exception type and message.
+TaskGraph reference_apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> edits) {
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("graph edit: " + what);
+  };
+  struct NodeDraft {
+    NodeKind kind;
+    std::string name;
+    std::int64_t declared_output;
+    bool alive;
+  };
+  struct EdgeDraft {
+    NodeId src;
+    NodeId dst;
+    std::int64_t volume;
+    bool alive;
+  };
+
+  std::vector<NodeDraft> nodes;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < base.node_count(); ++v) {
+    nodes.push_back({base.kind(v), base.name(v), base.declared_output(v), true});
+  }
+  std::vector<EdgeDraft> edges;
+  for (const Edge& edge : base.edges()) edges.push_back({edge.src, edge.dst, edge.volume, true});
+
+  const auto check_alive = [&](NodeId v, const char* role) {
+    if (v < 0 || static_cast<std::size_t>(v) >= nodes.size()) {
+      fail(std::string(role) + " node " + std::to_string(v) + " out of range");
+    }
+    if (!nodes[static_cast<std::size_t>(v)].alive) {
+      fail(std::string(role) + " node " + std::to_string(v) + " was removed");
+    }
+  };
+  const auto find_edge = [&edges](NodeId src, NodeId dst) -> EdgeDraft* {
+    for (EdgeDraft& edge : edges) {
+      if (edge.alive && edge.src == src && edge.dst == dst) return &edge;
+    }
+    return nullptr;
+  };
+
+  for (const GraphEdit& edit : edits) {
+    switch (edit.op) {
+      case GraphEdit::Op::kAddNode:
+        if (edit.kind == NodeKind::kSource && edit.volume <= 0) {
+          fail("add_node source requires a positive output");
+        }
+        nodes.push_back({edit.kind, edit.name, edit.volume, true});
+        break;
+      case GraphEdit::Op::kRemoveNode:
+        check_alive(edit.node, "remove_node");
+        nodes[static_cast<std::size_t>(edit.node)].alive = false;
+        for (EdgeDraft& edge : edges) {
+          if (edge.src == edit.node || edge.dst == edit.node) edge.alive = false;
+        }
+        break;
+      case GraphEdit::Op::kAddEdge:
+        check_alive(edit.src, "add_edge src");
+        check_alive(edit.dst, "add_edge dst");
+        edges.push_back({edit.src, edit.dst, edit.volume, true});
+        break;
+      case GraphEdit::Op::kRemoveEdge: {
+        check_alive(edit.src, "remove_edge src");
+        check_alive(edit.dst, "remove_edge dst");
+        EdgeDraft* edge = find_edge(edit.src, edit.dst);
+        if (!edge) {
+          fail("remove_edge: no edge " + std::to_string(edit.src) + " -> " +
+               std::to_string(edit.dst));
+        }
+        edge->alive = false;
+        break;
+      }
+      case GraphEdit::Op::kSetOutput:
+        check_alive(edit.node, "set_output");
+        nodes[static_cast<std::size_t>(edit.node)].declared_output = edit.volume;
+        break;
+      case GraphEdit::Op::kSetEdgeVolume: {
+        check_alive(edit.src, "set_edge_volume src");
+        check_alive(edit.dst, "set_edge_volume dst");
+        EdgeDraft* edge = find_edge(edit.src, edit.dst);
+        if (!edge) {
+          fail("set_edge_volume: no edge " + std::to_string(edit.src) + " -> " +
+               std::to_string(edit.dst));
+        }
+        edge->volume = edit.volume;
+        break;
+      }
+    }
+  }
+
+  std::vector<NodeId> remap(nodes.size(), -1);
+  TaskGraph out;
+  for (std::size_t v = 0; v < nodes.size(); ++v) {
+    const NodeDraft& draft = nodes[v];
+    if (!draft.alive) continue;
+    NodeId mapped = -1;
+    switch (draft.kind) {
+      case NodeKind::kSource:
+        if (draft.declared_output <= 0) {
+          fail("node " + std::to_string(v) + ": source lost its declared output");
+        }
+        mapped = out.add_source(draft.declared_output, draft.name);
+        break;
+      case NodeKind::kCompute:
+        mapped = out.add_compute(draft.name);
+        if (draft.declared_output > 0) out.declare_output(mapped, draft.declared_output);
+        break;
+      case NodeKind::kBuffer:
+        mapped = out.add_buffer(draft.name);
+        if (draft.declared_output > 0) out.declare_output(mapped, draft.declared_output);
+        break;
+      case NodeKind::kSink:
+        mapped = out.add_sink(draft.name);
+        break;
+    }
+    remap[v] = mapped;
+  }
+  for (const EdgeDraft& edge : edges) {
+    if (!edge.alive) continue;
+    out.add_edge(remap[static_cast<std::size_t>(edge.src)],
+                 remap[static_cast<std::size_t>(edge.dst)], edge.volume);
+  }
+  return out;
+}
+
+/// The outcome of one materialization: the graph, or the exception's type
+/// and message.
+struct Materialized {
+  std::optional<TaskGraph> graph;
+  std::string error_type;
+  std::string error;
+};
+
+template <typename Apply>
+Materialized materialize_with(Apply apply) {
+  Materialized out;
+  try {
+    out.graph = apply();
+  } catch (const std::invalid_argument& e) {
+    out.error_type = "invalid_argument";
+    out.error = e.what();
+  } catch (const std::out_of_range& e) {
+    out.error_type = "out_of_range";
+    out.error = e.what();
+  } catch (const std::exception& e) {
+    out.error_type = "exception";
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// Record-for-record comparison: kinds, names, declared outputs, and the
+/// edges in order.
+void expect_same_records(const TaskGraph& got, const TaskGraph& want, const std::string& what) {
+  ASSERT_EQ(got.node_count(), want.node_count()) << what;
+  ASSERT_EQ(got.edge_count(), want.edge_count()) << what;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < want.node_count(); ++v) {
+    EXPECT_EQ(got.kind(v), want.kind(v)) << what << " node " << v;
+    EXPECT_EQ(got.name(v), want.name(v)) << what << " node " << v;
+    EXPECT_EQ(got.declared_output(v), want.declared_output(v)) << what << " node " << v;
+  }
+  for (EdgeId e = 0; static_cast<std::size_t>(e) < want.edge_count(); ++e) {
+    EXPECT_EQ(got.edge(e).src, want.edge(e).src) << what << " edge " << e;
+    EXPECT_EQ(got.edge(e).dst, want.edge(e).dst) << what << " edge " << e;
+    EXPECT_EQ(got.edge(e).volume, want.edge(e).volume) << what << " edge " << e;
+  }
+  EXPECT_EQ(canonical_fingerprint(got), canonical_fingerprint(want)) << what;
+}
+
+/// Compares apply_graph_edits with the reference on one edit list; returns
+/// whether the list materialized.
+bool expect_matches_reference(const TaskGraph& base, const std::vector<GraphEdit>& edits,
+                              const std::string& what) {
+  const Materialized got = materialize_with([&] { return apply_graph_edits(base, edits); });
+  const Materialized want =
+      materialize_with([&] { return reference_apply_graph_edits(base, edits); });
+  EXPECT_EQ(got.error_type, want.error_type) << what << ": " << got.error << " / " << want.error;
+  EXPECT_EQ(got.error, want.error) << what;
+  if (got.graph && want.graph) expect_same_records(*got.graph, *want.graph, what);
+  return want.graph.has_value();
+}
+
+std::string describe(const std::vector<GraphEdit>& edits) {
+  std::string out;
+  for (const GraphEdit& edit : edits) {
+    append_graph_edit_json(out, edit);
+    out += ' ';
+  }
+  return out;
+}
+
+/// A random edit list over all six ops, built through the C++ API (so
+/// volumes may be non-positive, which JSON parsing would refuse). Node ids
+/// are drawn one past the live id space, so out-of-range and removed nodes
+/// come up; edge endpoints mostly name real edges, so edge ops mostly hit.
+std::vector<GraphEdit> random_edits(const TaskGraph& base, Prng& rng) {
+  std::vector<GraphEdit> edits;
+  auto ids = static_cast<std::int64_t>(base.node_count());
+  const auto node = [&] { return static_cast<NodeId>(rng.uniform_int(0, ids)); };
+  const auto volume = [&] { return rng.uniform_int(-2, 24); };
+  const std::int64_t count = rng.uniform_int(1, 8);
+  for (std::int64_t i = 0; i < count; ++i) {
+    GraphEdit edit;
+    edit.op = static_cast<GraphEdit::Op>(rng.uniform_int(0, 5));
+    switch (edit.op) {
+      case GraphEdit::Op::kAddNode:
+        edit.kind = static_cast<NodeKind>(rng.uniform_int(0, 3));
+        edit.volume = volume();
+        edit.name = "n" + std::to_string(ids);
+        ++ids;
+        break;
+      case GraphEdit::Op::kRemoveNode:
+      case GraphEdit::Op::kSetOutput:
+        edit.node = node();
+        edit.volume = volume();
+        break;
+      case GraphEdit::Op::kAddEdge:
+      case GraphEdit::Op::kRemoveEdge:
+      case GraphEdit::Op::kSetEdgeVolume:
+        if (base.edge_count() > 0 && rng.uniform() < 0.7) {
+          const Edge& e = base.edge(static_cast<EdgeId>(
+              rng.uniform_int(0, static_cast<std::int64_t>(base.edge_count()) - 1)));
+          edit.src = e.src;
+          edit.dst = e.dst;
+        } else {
+          edit.src = node();
+          edit.dst = node();
+        }
+        edit.volume = volume();
+        break;
+    }
+    edits.push_back(edit);
+  }
+  return edits;
+}
+
+/// Bases for the differential suites: the Sec. 7.1 topologies plus fuzzed
+/// random layered graphs.
+std::vector<TaskGraph> differential_bases() {
+  std::vector<TaskGraph> bases = {
+      make_chain(8, 3),  make_fft(8, 5), make_gaussian_elimination(5, 7),
+      make_cholesky(3, 9), testing::figure8_graph(), testing::buffer_split_example(),
+  };
+  for (std::uint64_t seed = 11; seed < 17; ++seed) {
+    LayeredSpec spec;
+    spec.layers = 3 + static_cast<int>(seed % 4);
+    spec.width = 2 + static_cast<int>(seed % 3);
+    bases.push_back(make_random_layered(spec, seed));
+  }
+  return bases;
+}
+
+TEST(GraphEdit, InPlaceMatchesTheDraftRebuildOnFuzzedEditLists) {
+  std::vector<TaskGraph> bases = differential_bases();
+  // Corner-case bases: a sink carrying a declared output (the rebuild drops
+  // it) and a parallel duplicate edge (edge ops address the first alive one).
+  TaskGraph with_sink_output = make_chain(6, 21);
+  for (NodeId v = 0; static_cast<std::size_t>(v) < with_sink_output.node_count(); ++v) {
+    if (with_sink_output.kind(v) == NodeKind::kSink) with_sink_output.declare_output(v, 5);
+  }
+  bases.push_back(with_sink_output);
+  TaskGraph with_duplicate = make_fft(4, 23);
+  const Edge first = with_duplicate.edge(0);
+  with_duplicate.add_edge(first.src, first.dst, first.volume + 1);
+  bases.push_back(with_duplicate);
+
+  Prng rng(0x6564697473ULL);
+  std::size_t failures = 0;
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    for (int trial = 0; trial < 250; ++trial) {
+      const std::vector<GraphEdit> edits = random_edits(bases[b], rng);
+      const std::string what = "base " + std::to_string(b) + ": " + describe(edits);
+      if (!expect_matches_reference(bases[b], edits, what)) ++failures;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // Both outcomes must be exercised in bulk, or the comparison proves little.
+  EXPECT_GT(failures, 200u);
+  EXPECT_LT(failures, 250u * bases.size() - 200u);
+}
+
+TEST(GraphEdit, InPlaceKeepsTheDraftRebuildCornerCases) {
+  TaskGraph chain;
+  const NodeId source = chain.add_source(8, "s");
+  const NodeId compute = chain.add_compute("a");
+  const NodeId middle = chain.add_compute("b");
+  const NodeId sink = chain.add_sink("k");
+  chain.add_edge(source, compute, 8);
+  chain.add_edge(compute, middle, 4);
+  chain.add_edge(middle, sink, 4);
+  ASSERT_TRUE(chain.validate().empty());
+  TaskGraph with_sink_output = chain;
+  with_sink_output.declare_output(sink, 9);
+  TaskGraph parallel = chain;
+  const Edge first = chain.edge(0);
+  parallel.add_edge(first.src, first.dst, first.volume + 1);
+
+  const auto set_output = [](NodeId v, std::int64_t volume) {
+    return GraphEdit{GraphEdit::Op::kSetOutput, NodeKind::kCompute, v, -1, -1, volume, ""};
+  };
+  const auto edge_op = [](GraphEdit::Op op, const Edge& e, std::int64_t volume) {
+    return GraphEdit{op, NodeKind::kCompute, -1, e.src, e.dst, volume, ""};
+  };
+  const auto remove = [](NodeId v) {
+    return GraphEdit{GraphEdit::Op::kRemoveNode, NodeKind::kCompute, v, -1, -1, 0, ""};
+  };
+  const std::vector<std::pair<const TaskGraph*, std::vector<GraphEdit>>> cases = {
+      {&with_sink_output, {}},                                   // sink output dropped
+      {&chain, {set_output(sink, 7)}},                           // likewise when edited
+      {&chain, {set_output(compute, 0)}},                        // "no declaration"
+      {&chain, {set_output(compute, -4)}},                       // likewise
+      {&chain, {set_output(source, -1)}},                        // source loses its output
+      {&chain, {set_output(source, -1), set_output(source, 6)}}, // ... unless restored
+      {&chain, {set_output(source, -1), remove(source)}},        // ... or removed
+      {&chain, {edge_op(GraphEdit::Op::kSetEdgeVolume, first, -3)}},
+      {&chain,
+       {edge_op(GraphEdit::Op::kSetEdgeVolume, first, -3),
+        edge_op(GraphEdit::Op::kRemoveEdge, first, 0)}},
+      {&chain, {edge_op(GraphEdit::Op::kAddEdge, Edge{compute, compute, 4}, 4)}},  // self loop
+      {&parallel, {edge_op(GraphEdit::Op::kSetEdgeVolume, first, 30)}},  // hits the first
+      {&parallel,
+       {edge_op(GraphEdit::Op::kRemoveEdge, first, 0),
+        edge_op(GraphEdit::Op::kSetEdgeVolume, first, 30)}},  // then the second
+      {&parallel,
+       {edge_op(GraphEdit::Op::kRemoveEdge, first, 0),
+        edge_op(GraphEdit::Op::kRemoveEdge, first, 0),
+        edge_op(GraphEdit::Op::kRemoveEdge, first, 0)}},  // no third
+      {&chain, {remove(99)}},                                     // out of range
+      {&chain, {remove(compute), set_output(compute, 3)}},        // removed
+      {&chain, {remove(compute), remove(compute)}},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    expect_matches_reference(*cases[i].first, cases[i].second,
+                             "case " + std::to_string(i) + ": " + describe(cases[i].second));
+  }
+  EXPECT_EQ(apply_graph_edits(with_sink_output, {}).declared_output(sink), 0);
+  EXPECT_THROW((void)apply_graph_edits(chain, std::vector<GraphEdit>{set_output(source, 0)}),
+               std::invalid_argument);
+}
+
+// ------------------------------------------------ scoped validation vs full
+
+/// A random local edit list: set_output and set_edge_volume with positive
+/// volumes, often contradicting the graph (retuned outputs on nodes with
+/// out-edges, edge volumes that no longer match their siblings).
+std::vector<GraphEdit> random_local_edits(const TaskGraph& base, Prng& rng) {
+  std::vector<GraphEdit> edits;
+  const std::int64_t count = rng.uniform_int(1, 5);
+  for (std::int64_t i = 0; i < count; ++i) {
+    if (rng.uniform() < 0.5 || base.edge_count() == 0) {
+      const auto v = static_cast<NodeId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(base.node_count()) - 1));
+      const std::int64_t current = base.output_volume(v);
+      const std::int64_t volume = rng.uniform() < 0.4 && current > 0 ? current
+                                                                     : rng.uniform_int(1, 40);
+      edits.push_back(
+          GraphEdit{GraphEdit::Op::kSetOutput, NodeKind::kCompute, v, -1, -1, volume, ""});
+    } else {
+      const Edge& e = base.edge(static_cast<EdgeId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(base.edge_count()) - 1)));
+      const std::int64_t volume = rng.uniform() < 0.3 ? e.volume : rng.uniform_int(1, 40);
+      edits.push_back(GraphEdit{GraphEdit::Op::kSetEdgeVolume, NodeKind::kCompute, -1, e.src,
+                                e.dst, volume, ""});
+    }
+  }
+  return edits;
+}
+
+TEST(TaskGraphValidate, ScopedValidationMatchesFullValidationOnLocalEdits) {
+  Prng rng(0x73636f706564ULL);
+  std::size_t invalid = 0;
+  std::size_t total = 0;
+  for (const TaskGraph& base : differential_bases()) {
+    ASSERT_TRUE(base.validate().empty());
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::vector<GraphEdit> edits = random_local_edits(base, rng);
+      const std::optional<std::vector<NodeId>> scope = local_edit_scope(edits);
+      ASSERT_TRUE(scope.has_value()) << describe(edits);
+      const TaskGraph edited = apply_graph_edits(base, edits);
+      const std::vector<std::string> full = edited.validate();
+      EXPECT_EQ(edited.validate_nodes(*scope), full) << describe(edits);
+      invalid += full.empty() ? 0 : 1;
+      ++total;
+    }
+  }
+  // Both verdicts must come up often, or equality proves little.
+  EXPECT_GT(invalid, total / 4);
+  EXPECT_LT(invalid, total - total / 10);
+}
+
+TEST(GraphEdit, LocalScopeCoversOnlyPositiveRetunes) {
+  const auto edit = [](GraphEdit::Op op, NodeId node, NodeId src, NodeId dst, std::int64_t v) {
+    return GraphEdit{op, NodeKind::kCompute, node, src, dst, v, ""};
+  };
+  using Op = GraphEdit::Op;
+  const std::optional<std::vector<NodeId>> empty = local_edit_scope({});
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->empty());
+  const std::optional<std::vector<NodeId>> scope =
+      local_edit_scope(std::vector<GraphEdit>{edit(Op::kSetOutput, 7, -1, -1, 3),
+                                              edit(Op::kSetEdgeVolume, -1, 7, 2, 4),
+                                              edit(Op::kSetEdgeVolume, -1, 2, 9, 4)});
+  ASSERT_TRUE(scope.has_value());
+  EXPECT_EQ(*scope, (std::vector<NodeId>{2, 7, 9}));
+  for (const GraphEdit& structural :
+       {edit(Op::kAddNode, -1, -1, -1, 3), edit(Op::kRemoveNode, 1, -1, -1, 0),
+        edit(Op::kAddEdge, -1, 1, 2, 3), edit(Op::kRemoveEdge, -1, 1, 2, 0),
+        edit(Op::kSetOutput, 1, -1, -1, 0), edit(Op::kSetEdgeVolume, -1, 1, 2, -1)}) {
+    EXPECT_FALSE(local_edit_scope(std::vector<GraphEdit>{edit(Op::kSetOutput, 7, -1, -1, 3),
+                                                         structural})
+                     .has_value())
+        << describe({structural});
+  }
+}
+
 // ------------------------------------------------------------------ assembly
 
 TEST(SubgraphAssembly, MatchesColdScheduleForEveryRegistryScheduler) {
@@ -664,6 +1089,141 @@ TEST(DeltaRequest, InvalidCompositionFailsInsteadOfAliasingTheBase) {
   EXPECT_NE(response.error.find("invalid graph"), std::string::npos) << response.error;
   service.wait_idle();
   EXPECT_EQ(service.stats().failed, 1u);
+}
+
+TEST(DeltaRequest, LocalDeltaOnAnInvalidBaseReportsTheFullViolationList) {
+  // The base is never validated before its first delta (its own schedule
+  // fails, but it is registered all the same). A local delta that touches
+  // only valid nodes must still report every violation of the composed
+  // graph, exactly as a full validate() lists them.
+  ScheduleService service(ServiceConfig{1});
+  ScheduleRequest base = base_request();
+  NodeId src = -1;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < base.graph.node_count(); ++v) {
+    if (base.graph.kind(v) == NodeKind::kSource && base.graph.out_degree(v) > 0) {
+      src = v;
+      break;
+    }
+  }
+  ASSERT_GE(src, 0);
+  // A contradicting declared output leaves the key (derived volumes) alone.
+  base.graph.declare_output(src, base.graph.declared_output(src) + 3);
+  ASSERT_FALSE(base.graph.validate().empty());
+  const TaskGraph base_graph = base.graph;
+  const std::string digest = base.key_digest();
+  EXPECT_FALSE(service.schedule(std::move(base)).ok());
+
+  const std::vector<GraphEdit> edits = retune_exit(base_graph, 2);
+  ASSERT_NE(edits.front().node, src);
+  ScheduleRequest delta;
+  delta.base_key = digest;
+  delta.edits = edits;
+  delta.scheduler = "streaming-rlx";
+  delta.machine.num_pes = 4;
+  const ScheduleResponse response = service.schedule(std::move(delta));
+  ASSERT_FALSE(response.ok());
+
+  std::string expected = "ScheduleService: edits compose an invalid graph:";
+  for (const std::string& v : apply_graph_edits(base_graph, edits).validate()) {
+    expected += "\n  - " + v;
+  }
+  EXPECT_EQ(response.error, expected);
+}
+
+/// A canonicity-safe edge retune: an edge whose source is a compute node
+/// with no other out-edge and whose destination has no other in-edge, so
+/// both endpoints still carry uniform volumes; a declared output on the
+/// source is retuned along with it.
+std::vector<GraphEdit> retune_edge(const TaskGraph& g, std::int64_t factor) {
+  for (const Edge& e : g.edges()) {
+    if (g.kind(e.src) == NodeKind::kCompute && g.out_degree(e.src) == 1 &&
+        g.in_degree(e.dst) == 1) {
+      std::vector<GraphEdit> edits = {GraphEdit{GraphEdit::Op::kSetEdgeVolume, NodeKind::kCompute,
+                                                -1, e.src, e.dst, e.volume * factor, ""}};
+      if (g.declared_output(e.src) > 0) {
+        edits.push_back(GraphEdit{GraphEdit::Op::kSetOutput, NodeKind::kCompute, e.src, -1, -1,
+                                  e.volume * factor, ""});
+      }
+      return edits;
+    }
+  }
+  throw std::logic_error("retune_edge: no retunable edge");
+}
+
+TEST(DeltaRequest, ChainOfLocalDeltasMatchesColdSchedules) {
+  ScheduleService service(ServiceConfig{2});
+  ScheduleRequest base = base_request();
+  base.graph = make_chain(12, 5);  // has edges retune_edge can scale
+  TaskGraph graph = base.graph;
+  std::string digest = base.key_digest();
+  ASSERT_TRUE(service.schedule(std::move(base)).ok());
+
+  // Three links: the first validates the never-validated base in full, the
+  // later ones resolve against deltas registered as valid. The middle link
+  // also retunes an edge volume.
+  for (int link = 0; link < 3; ++link) {
+    std::vector<GraphEdit> edits = retune_exit(graph, 3);
+    if (link == 1) {
+      for (const GraphEdit& edit : retune_edge(graph, 2)) edits.push_back(edit);
+    }
+    ScheduleRequest delta;
+    delta.base_key = digest;
+    delta.edits = edits;
+    delta.scheduler = "streaming-rlx";
+    delta.machine.num_pes = 4;
+    const ScheduleResponse response = service.schedule(std::move(delta));
+    ASSERT_TRUE(response.ok()) << "link " << link << ": " << response.error;
+
+    ScheduleRequest materialized = base_request();
+    materialized.graph = apply_graph_edits(graph, edits);
+    ASSERT_EQ(materialized.graph.edge_count(), graph.edge_count());
+    ASSERT_TRUE(materialized.graph.validate().empty());
+    EXPECT_EQ(result_fingerprint(*response.result),
+              result_fingerprint(
+                  schedule_by_name("streaming-rlx", materialized.graph, materialized.machine)))
+        << "link " << link;
+    graph = materialized.graph;
+    digest = materialized.key_digest();
+  }
+}
+
+TEST(DeltaRequest, ConcurrentSubmittersShareOneRegisteredBase) {
+  // Several threads register the same base at once (one registry copy wins,
+  // the others are dropped) and race their first local deltas against it
+  // (each may validate the base in full and store the outcome). Every delta
+  // must still match a cold schedule of its materialized graph.
+  constexpr int kThreads = 4;
+  ServiceConfig config;
+  config.num_workers = 2;
+  ScheduleService service(config);
+  const ScheduleRequest base = base_request();
+  const std::string digest = base.key_digest();
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ScheduleRequest copy = base;
+      if (!service.schedule(std::move(copy)).ok()) errors[static_cast<std::size_t>(t)] = "base";
+      const std::vector<GraphEdit> edits = retune_exit(base.graph, 2 + t);
+      ScheduleRequest delta;
+      delta.base_key = digest;
+      delta.edits = edits;
+      delta.scheduler = "streaming-rlx";
+      delta.machine.num_pes = 4;
+      const ScheduleResponse response = service.schedule(std::move(delta));
+      const TaskGraph edited = apply_graph_edits(base.graph, edits);
+      if (!response.ok()) {
+        errors[static_cast<std::size_t>(t)] = response.error;
+      } else if (result_fingerprint(*response.result) !=
+                 result_fingerprint(schedule_by_name("streaming-rlx", edited, base.machine))) {
+        errors[static_cast<std::size_t>(t)] = "differs from the cold schedule";
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(errors[static_cast<std::size_t>(t)], "") << "thread " << t;
+  }
 }
 
 TEST(DeltaRequest, RouterRoutesDeltaToTheBaseBackend) {

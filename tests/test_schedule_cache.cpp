@@ -11,10 +11,15 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "service/request.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace sts {
 namespace {
@@ -368,6 +373,170 @@ TEST(ScheduleCacheTtl, SetTtlAppliesToResidentEntries) {
   (void)cache.get_or_compute("k", counted_result(computed, 2));
   ASSERT_NE(cache.try_get("k"), nullptr) << "clearing the ttl disables expiry again";
   EXPECT_EQ(computed.load(), 2);
+}
+
+// ------------------------------------------------ caller-supplied key hashes
+// A request hashes its key once and hands the hash to the cache. The hash
+// only picks a bucket: entries and in-flight computations are matched by the
+// full key, so two keys forced onto one hash must never share a result.
+
+/// Polls `done` for up to ten seconds; false on timeout (so a broken
+/// single-flight fails the test instead of hanging it).
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+constexpr std::uint64_t kSharedHash = 42;
+
+TEST(ScheduleCacheCollision, DistinctKeysOnOneHashNeverShareResults) {
+  ScheduleCache cache(8);
+  std::atomic<int> computed{0};
+  EXPECT_EQ(cache.get_or_compute(kSharedHash, "a", counted_result(computed, 1))->makespan, 1);
+  EXPECT_EQ(cache.get_or_compute(kSharedHash, "b", counted_result(computed, 2))->makespan, 2);
+  EXPECT_EQ(computed.load(), 2);
+  EXPECT_EQ(cache.stats().misses, 2u);
+
+  // Hits resolve by the full key within the shared bucket.
+  ASSERT_NE(cache.try_get(kSharedHash, "a"), nullptr);
+  EXPECT_EQ(cache.try_get(kSharedHash, "a")->makespan, 1);
+  EXPECT_EQ(cache.get_or_compute(kSharedHash, "b", counted_result(computed, 99))->makespan, 2);
+  EXPECT_EQ(cache.try_get(kSharedHash, "c"), nullptr);
+  EXPECT_EQ(computed.load(), 2);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ScheduleCacheCollision, ConcurrentCollidingKeysComputeSeparately) {
+  ScheduleCache cache(8);
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> b_started{false};
+  std::atomic<bool> a_saw_b{false};
+  std::shared_ptr<const ScheduleResult> a_result;
+  std::thread a([&] {
+    a_result = cache.get_or_compute(kSharedHash, "a", [&] {
+      a_started = true;
+      // "b" must compute while "a" is still in flight: had it joined this
+      // flight instead, it could not start.
+      a_saw_b = wait_until([&] { return b_started.load(); });
+      ScheduleResult r;
+      r.makespan = 1;
+      return r;
+    });
+  });
+  ASSERT_TRUE(wait_until([&] { return a_started.load(); }));
+  const auto b_result = cache.get_or_compute(kSharedHash, "b", [&] {
+    b_started = true;
+    ScheduleResult r;
+    r.makespan = 2;
+    return r;
+  });
+  a.join();
+  EXPECT_TRUE(a_saw_b.load());
+  EXPECT_EQ(a_result->makespan, 1);
+  EXPECT_EQ(b_result->makespan, 2);
+  const ScheduleCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.races, 0u);
+}
+
+TEST(ScheduleCacheCollision, FailingComputeClearsOnlyItsOwnFlight) {
+  ScheduleCache cache(8);
+  std::atomic<bool> b_started{false};
+  std::atomic<bool> release{false};
+  std::shared_ptr<const ScheduleResult> b_result;
+  std::thread b([&] {
+    b_result = cache.get_or_compute(kSharedHash, "b", [&] {
+      b_started = true;
+      (void)wait_until([&] { return release.load(); });
+      ScheduleResult r;
+      r.makespan = 2;
+      return r;
+    });
+  });
+  ASSERT_TRUE(wait_until([&] { return b_started.load(); }));
+
+  // "a" fails while "b" is in flight on the same hash.
+  EXPECT_THROW((void)cache.get_or_compute(kSharedHash, "a",
+                                          []() -> ScheduleResult {
+                                            throw std::runtime_error("a exploded");
+                                          }),
+               std::runtime_error);
+
+  // "b"'s flight survived: a second "b" joins it as a race.
+  std::atomic<int> recomputed{0};
+  std::shared_ptr<const ScheduleResult> c_result;
+  std::thread c([&] {
+    c_result = cache.get_or_compute(kSharedHash, "b", counted_result(recomputed, 99));
+  });
+  EXPECT_TRUE(wait_until([&] { return cache.stats().races == 1; }));
+  release = true;
+  b.join();
+  c.join();
+  EXPECT_EQ(b_result->makespan, 2);
+  EXPECT_EQ(c_result->makespan, 2);
+  EXPECT_EQ(recomputed.load(), 0);
+
+  // And "a" retries from scratch.
+  std::atomic<int> retried{0};
+  EXPECT_EQ(cache.get_or_compute(kSharedHash, "a", counted_result(retried, 3))->makespan, 3);
+  EXPECT_EQ(retried.load(), 1);
+  const ScheduleCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 3u);  // b, the failed a, the retried a
+  EXPECT_EQ(stats.races, 1u);
+}
+
+TEST(ScheduleCacheCollision, ConcurrentIdenticalKeysStillSingleFlight) {
+  constexpr int kThreads = 6;
+  ScheduleCache cache(8);
+  std::atomic<int> computed{0};
+  std::vector<std::thread> threads;
+  std::vector<std::int64_t> makespans(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      makespans[static_cast<std::size_t>(t)] =
+          cache.get_or_compute(kSharedHash, "same", [&] {
+                 ++computed;
+                 // Hold the flight until every other caller has joined it.
+                 (void)wait_until([&] { return cache.stats().races == kThreads - 1; });
+                 ScheduleResult r;
+                 r.makespan = 7;
+                 return r;
+               })->makespan;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::int64_t makespan : makespans) EXPECT_EQ(makespan, 7);
+  EXPECT_EQ(computed.load(), 1);
+  const ScheduleCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.races, static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST(ScheduleCacheKeyHash, RequestMemoizesItsKeyHashAcrossRelease) {
+  ScheduleRequest request;
+  request.graph = make_chain(6, 3);
+  const std::string key = request.key();
+  EXPECT_EQ(request.key_hash(), fnv1a64(key));
+  EXPECT_EQ(std::stoull(request.key_digest(), nullptr, 16), fnv1a64(key));
+  EXPECT_EQ(request.release_key(), key);
+  EXPECT_EQ(request.key_hash(), fnv1a64(key)) << "the hash survives release_key()";
+
+  const ScheduleRequest copy = request;  // copies drop the memo and rebuild it
+  EXPECT_EQ(copy.key_hash(), fnv1a64(key));
+  ScheduleRequest moved = std::move(request);  // moves carry it
+  EXPECT_EQ(moved.key_hash(), fnv1a64(key));
+  request = std::move(moved);
+
+  request.graph = make_chain(7, 3);
+  request.invalidate_key();
+  EXPECT_NE(request.key_hash(), fnv1a64(key));
+  EXPECT_EQ(request.key_hash(), fnv1a64(request.key()));
 }
 
 }  // namespace

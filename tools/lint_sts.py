@@ -23,6 +23,16 @@ violation. Enforced rules:
     aggregate), and the parser must not read keys the renderer never writes.
     Gauges (workers, cache_weight, ...) are point-in-time values read through
     other paths and are allowlisted.
+
+ 5. The request key is hashed once. ScheduleRequest::key() computes
+    fnv1a64 of the key beside the key itself (service/request.cpp), and the
+    shard index, the ScheduleCache buckets and ShardRouter routing all take
+    that memoized key_hash(): on a large graph the key is megabytes, and
+    each extra pass costs a measurable share of a delta request. So no
+    fnv1a64( call outside service/request.cpp may take a key() or
+    release_key() result — directly, or through a name bound to one in the
+    same file. Functions that receive a plain key string (the cache's
+    string-only overloads, for callers without a request) are not affected.
 """
 
 from __future__ import annotations
@@ -198,12 +208,53 @@ def check_stats_wire_round_trip(errors: list[str]) -> None:
         )
 
 
+KEY_HASH_OWNER = SRC / "service" / "request.cpp"
+KEY_CALL = re.compile(r"\b(?:release_)?key\(\)")
+
+
+def call_arguments(text: str, name: str):
+    """Yields (offset, argument text) for every call `name(...)`, by paren
+    tracking."""
+    for match in re.finditer(r"\b" + name + r"\s*\(", text):
+        depth = 1
+        for i in range(match.end(), len(text)):
+            if text[i] == "(":
+                depth += 1
+            elif text[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    yield match.start(), text[match.end() : i]
+                    break
+
+
+def check_key_hashed_once(errors: list[str]) -> None:
+    paths = sorted(SRC.rglob("*.[ch]pp")) + sorted((REPO / "examples").glob("*.cpp"))
+    paths += sorted(BENCH.glob("*.cpp"))
+    for path in paths:
+        if path == KEY_HASH_OWNER:
+            continue
+        # Comments go, newlines stay, so offsets still give line numbers.
+        text = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"), path.read_text(),
+                      flags=re.S)
+        text = re.sub(r"//[^\n]*", "", text)
+        aliases = set(re.findall(r"(\w+)\s*=\s*[\w.\->*]*\b(?:release_)?key\(\)", text))
+        for offset, argument in call_arguments(text, "fnv1a64"):
+            if KEY_CALL.search(argument) or argument.strip() in aliases:
+                fail(
+                    errors,
+                    f"{path.relative_to(REPO)}:{text.count(chr(10), 0, offset) + 1}: "
+                    f"fnv1a64({argument.strip()}) re-hashes a request key — take the "
+                    "memoized ScheduleRequest::key_hash() instead",
+                )
+
+
 def main() -> int:
     errors: list[str] = []
     check_stats_surfaced(errors)
     check_sim_internal_private(errors)
     check_bench_reports(errors)
     check_stats_wire_round_trip(errors)
+    check_key_hashed_once(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
