@@ -2,16 +2,15 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/task_graph.hpp"
 #include "support/json.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -113,8 +112,8 @@ struct CanonicalPartitionIndex {
 ///
 /// Probes compare the full raw bytes (same collision discipline as the
 /// fragment cache: a digest collision degrades to a miss, never to a wrong
-/// canonicalization). Thread-safe bounded LRU; weight = partition node
-/// count.
+/// canonicalization). Thread-safe; a WeightedLru holds the entries,
+/// weight = partition node count.
 class PartitionCanonMemo {
  public:
   /// Canonicalization of one partition, stored positionally: hash[i] and
@@ -137,8 +136,7 @@ class PartitionCanonMemo {
 
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
-  explicit PartitionCanonMemo(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
+  explicit PartitionCanonMemo(std::size_t capacity = kDefaultCapacity) : lru_(capacity) {}
 
   PartitionCanonMemo(const PartitionCanonMemo&) = delete;
   PartitionCanonMemo& operator=(const PartitionCanonMemo&) = delete;
@@ -157,24 +155,11 @@ class PartitionCanonMemo {
   [[nodiscard]] Stats stats() const EXCLUDES(mutex_);
   [[nodiscard]] std::size_t size() const EXCLUDES(mutex_);
   [[nodiscard]] std::size_t total_weight() const EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const EXCLUDES(mutex_);
 
  private:
-  struct Entry {
-    std::uint64_t digest = 0;
-    std::string raw;
-    std::size_t weight = 0;
-    std::shared_ptr<const Ranks> ranks;
-  };
-
-  void evict_to_capacity_locked() REQUIRES(mutex_);
-
-  const std::size_t capacity_;
   mutable Mutex mutex_;
-  std::list<Entry> lru_ GUARDED_BY(mutex_);  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>> buckets_
-      GUARDED_BY(mutex_);
-  std::size_t weight_ GUARDED_BY(mutex_) = 0;
+  WeightedLru<std::string, std::shared_ptr<const Ranks>> lru_ GUARDED_BY(mutex_);
   Stats stats_ GUARDED_BY(mutex_);
 };
 

@@ -40,50 +40,27 @@ std::string canonical_cache_key(const TaskGraph& graph, std::string_view schedul
 }
 
 ScheduleCache::ScheduleCache(std::size_t capacity, std::optional<std::chrono::nanoseconds> ttl)
-    : capacity_(capacity), ttl_(ttl) {
-  if (capacity_ == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
+    : ttl_(ttl), lru_(capacity) {
+  if (capacity == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
 }
 
-ScheduleCache::Lru::const_iterator ScheduleCache::find_entry_locked(std::uint64_t hash,
-                                                             std::string_view key) const {
-  const auto bucket = buckets_.find(hash);
-  if (bucket == buckets_.end()) return lru_.end();
-  for (const Lru::const_iterator it : bucket->second) {
-    if (it->key == key) return it;
-  }
-  return lru_.end();
-}
-
-bool ScheduleCache::is_expired_locked(const Entry& entry) const {
+bool ScheduleCache::is_expired(const Resident& resident) const {
   // One steady_clock read per probe, and only when a ttl is configured at
   // all — the default (no ttl) pays nothing. ttl == 0 expires every entry
   // on its next probe, which tests use for deterministic expiry.
-  return ttl_ && std::chrono::steady_clock::now() - entry.inserted >= *ttl_;
+  return ttl_ && std::chrono::steady_clock::now() - resident.inserted >= *ttl_;
 }
 
-void ScheduleCache::erase_expired_locked(Lru::const_iterator it) {
-  auto& bucket = buckets_[it->hash];
-  std::erase(bucket, it);
-  if (bucket.empty()) buckets_.erase(it->hash);
-  weight_ -= it->weight;
-  ++stats_.expired;
-  lru_.erase(it);
-}
-
-void ScheduleCache::evict_to_capacity_locked() {
-  // Weight-aware LRU eviction; oversize entries are refused at admission
-  // (get_or_compute / set_capacity keep weight_ <= capacity_ reachable), so
-  // this always terminates with the bound restored.
-  while (weight_ > capacity_ && !lru_.empty()) {
-    const Lru::const_iterator victim = std::prev(lru_.cend());
-    auto& bucket = buckets_[victim->hash];
-    std::erase(bucket, victim);
-    if (bucket.empty()) buckets_.erase(victim->hash);
-    weight_ -= victim->weight;
-    ++stats_.evictions;
-    stats_.evicted_weight += victim->weight;
-    lru_.pop_back();
+ScheduleCache::ResultPtr ScheduleCache::probe_locked(std::uint64_t hash, std::string_view key) {
+  const Resident* resident = lru_.find(hash, key);
+  if (resident == nullptr) return nullptr;
+  if (is_expired(*resident)) {
+    lru_.erase(hash, key);
+    ++stats_.expired;
+    return nullptr;
   }
+  ++stats_.hits;
+  return resident->result;
 }
 
 ScheduleCache::ResultPtr ScheduleCache::get_or_schedule(const TaskGraph& graph,
@@ -115,14 +92,7 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
   std::optional<std::promise<Flight>> promise;
   {
     const MutexLock lock(mutex_);
-    if (const Lru::const_iterator it = find_entry_locked(hash, key); it != lru_.cend()) {
-      if (!is_expired_locked(*it)) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it);
-        return it->result;
-      }
-      erase_expired_locked(it);  // fall through: this lookup is a miss (or a race)
-    }
+    if (ResultPtr hit = probe_locked(hash, key)) return hit;
     if (const auto bucket = in_flight_.find(hash); bucket != in_flight_.end()) {
       for (const InFlight& f : bucket->second) {
         if (*f.key == key) {
@@ -165,22 +135,21 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
     promise->set_value(settle_current_exception());
     throw;
   }
+  Lru::Evicted evicted;  // freed after the lock: a key can be megabytes
   {
     const MutexLock lock(mutex_);
     end_flight_locked(hash, &key);
-    if (weight == 0) weight = 1;
-    if (weight > capacity_) {
+    if (lru_.insert(hash, std::move(key), Resident{result, std::chrono::steady_clock::now()},
+                    weight, evicted) == nullptr) {
       // Admission refusal: an entry heavier than the whole capacity can
-      // never fit, and admitting it would only churn out every resident.
-      // Counted with the evictions so the books still explain the miss
-      // traffic it causes.
+      // never fit. Counted with the evictions so the books still explain
+      // the miss traffic it causes.
       ++stats_.evictions;
       stats_.evicted_weight += weight;
-    } else {
-      weight_ += weight;
-      lru_.push_front(Entry{hash, std::move(key), weight, result, std::chrono::steady_clock::now()});
-      buckets_[hash].push_back(lru_.begin());
-      evict_to_capacity_locked();
+    }
+    for (const Lru::Entry& entry : evicted) {
+      ++stats_.evictions;
+      stats_.evicted_weight += entry.weight;
     }
   }
   promise->set_value(Flight{result, {}, false});
@@ -193,32 +162,14 @@ ScheduleCache::ResultPtr ScheduleCache::try_get(std::string_view key) {
 
 ScheduleCache::ResultPtr ScheduleCache::try_get(std::uint64_t hash, std::string_view key) {
   const MutexLock lock(mutex_);
-  const Lru::const_iterator it = find_entry_locked(hash, key);
-  if (it == lru_.cend()) return nullptr;
-  if (is_expired_locked(*it)) {
-    erase_expired_locked(it);
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it);
-  return it->result;
+  return probe_locked(hash, key);
 }
 
 bool ScheduleCache::contains(std::string_view key) const {
   const std::uint64_t hash = fnv1a64(key);
   const MutexLock lock(mutex_);
-  const Lru::const_iterator it = find_entry_locked(hash, key);
-  return it != lru_.cend() && !is_expired_locked(*it);
-}
-
-void ScheduleCache::set_ttl(std::optional<std::chrono::nanoseconds> ttl) {
-  const MutexLock lock(mutex_);
-  ttl_ = ttl;
-}
-
-std::optional<std::chrono::nanoseconds> ScheduleCache::ttl() const {
-  const MutexLock lock(mutex_);
-  return ttl_;
+  const Resident* resident = lru_.peek(hash, key);
+  return resident != nullptr && !is_expired(*resident);
 }
 
 ScheduleCache::Stats ScheduleCache::stats() const {
@@ -230,8 +181,8 @@ ScheduleCache::Stats ScheduleCache::stats() const {
     // as absent. Count such residents here so stats().expired agrees with the
     // lookup behavior at all times, not just after the drop.
     const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now();
-    for (const Entry& entry : lru_) {
-      if (now - entry.inserted >= *ttl_) ++out.expired;
+    for (const Lru::Entry& entry : lru_) {
+      if (now - entry.value.inserted >= *ttl_) ++out.expired;
     }
   }
   return out;
@@ -244,27 +195,12 @@ std::size_t ScheduleCache::size() const {
 
 std::size_t ScheduleCache::total_weight() const {
   const MutexLock lock(mutex_);
-  return weight_;
+  return lru_.weight();
 }
 
 std::size_t ScheduleCache::capacity() const {
   const MutexLock lock(mutex_);
-  return capacity_;
-}
-
-void ScheduleCache::set_capacity(std::size_t capacity) {
-  if (capacity == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
-  const MutexLock lock(mutex_);
-  capacity_ = capacity;
-  evict_to_capacity_locked();
-}
-
-void ScheduleCache::clear() {
-  const MutexLock lock(mutex_);
-  lru_.clear();
-  buckets_.clear();
-  weight_ = 0;
-  stats_ = Stats{};
+  return lru_.capacity();
 }
 
 ScheduleCache& ScheduleCache::global() {

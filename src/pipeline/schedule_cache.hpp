@@ -5,7 +5,6 @@
 #include <functional>
 #include <optional>
 #include <future>
-#include <list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -15,6 +14,7 @@
 #include "pipeline/scheduler.hpp"
 #include "support/hash.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -34,18 +34,15 @@ namespace sts {
 /// sizing entirely and return a shared immutable result. Hash collisions are
 /// disambiguated with the full key, so a hit is always exact.
 ///
-/// Bounded and size-aware: every entry carries a weight (for schedule
-/// results, the graph's node count — large graphs cost proportionally more
-/// memory to hold and more time to recompute) and `capacity()` bounds the
-/// TOTAL WEIGHT, not the entry count. Inserting past the cap evicts
-/// least-recently-used entries until the weight fits (counted in
-/// `Stats::evictions` / `Stats::evicted_weight`); an entry heavier than the
-/// whole capacity is refused at admission (it can never fit, and admitting
-/// it would churn out every resident — the compute's caller still gets its
-/// result, the cache just will not hold it), so memory stays bounded under
-/// sustained traffic with an unbounded key universe. Generic
-/// `get_or_compute` callers default to weight 1, which degenerates to the
-/// classic entry-count LRU.
+/// Bounded and size-aware: the results sit in a WeightedLru whose
+/// `capacity()` bounds the TOTAL WEIGHT (for schedule results, the graph's
+/// node count: large graphs cost proportionally more memory to hold and more
+/// time to recompute). Inserting past the cap evicts least-recently-used
+/// entries (counted in `Stats::evictions` / `Stats::evicted_weight`); an
+/// entry heavier than the whole capacity is refused at admission and counted
+/// the same way (the compute's caller still gets its result, the cache just
+/// will not hold it). Generic `get_or_compute` callers default to weight 1,
+/// the classic entry-count LRU. Capacity and ttl are fixed at construction.
 ///
 /// Single-flight: concurrent requests for the same missing key compute the
 /// result exactly once. The first thread computes (a `miss`); every thread
@@ -56,12 +53,11 @@ namespace sts {
 /// Consequently `Stats::misses` equals the number of schedules actually
 /// computed, and hits + misses + races equals the number of lookups.
 ///
-/// Optional per-entry TTL: with a ttl configured, every entry remembers its
-/// insertion time and a lookup that finds an entry older than the ttl drops
-/// it (counted in `Stats::expired`, NOT as an eviction) and proceeds as a
-/// miss. Expiry is lazy — nothing scans the cache in the background; a stale
-/// entry costs memory only until the next probe of its key or its LRU
-/// eviction. Without a ttl (the default) entries never age out.
+/// Optional per-entry TTL: a lookup that finds an entry older than the ttl
+/// drops it (counted in `Stats::expired`, NOT as an eviction) and proceeds
+/// as a miss. Expiry is lazy: nothing scans the cache in the background, so
+/// a stale entry costs memory only until the next probe of its key or its
+/// LRU eviction. Without a ttl (the default) entries never age out.
 ///
 /// The compute callable must not re-enter the cache with the same key (it
 /// would wait on its own in-flight marker).
@@ -146,40 +142,23 @@ class ScheduleCache {
   /// as absent here and is physically dropped by the next mutating probe.
   [[nodiscard]] bool contains(std::string_view key) const EXCLUDES(mutex_);
 
-  /// Re-configures the ttl for subsequent lookups; applies to already
-  /// resident entries too (their insertion times are always recorded).
-  void set_ttl(std::optional<std::chrono::nanoseconds> ttl) EXCLUDES(mutex_);
-  [[nodiscard]] std::optional<std::chrono::nanoseconds> ttl() const EXCLUDES(mutex_);
-
   [[nodiscard]] Stats stats() const EXCLUDES(mutex_);
   [[nodiscard]] std::size_t size() const EXCLUDES(mutex_);  ///< resident entry count
   /// Resident weight, <= capacity().
   [[nodiscard]] std::size_t total_weight() const EXCLUDES(mutex_);
   [[nodiscard]] std::size_t capacity() const EXCLUDES(mutex_);  ///< total-weight bound
 
-  /// Re-bounds the cache, evicting LRU entries if shrinking below the
-  /// current total weight. Throws std::invalid_argument on zero.
-  void set_capacity(std::size_t capacity) EXCLUDES(mutex_);
-
-  /// Drops all completed entries and resets stats. In-flight computations
-  /// are unaffected and will insert their results afterwards.
-  void clear() EXCLUDES(mutex_);
-
   /// The process-wide cache used by cached convenience entry points.
   [[nodiscard]] static ScheduleCache& global();
 
  private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::string key;  ///< full canonical key, checked on every probe
-    std::size_t weight = 1;
+  /// A resident result. Its insertion time is always recorded (one
+  /// steady_clock read on the miss path, where scheduling dominates anyway).
+  struct Resident {
     ResultPtr result;
-    /// Insertion time, for ttl expiry. Always recorded (one steady_clock
-    /// read on the miss path, where scheduling dominates anyway) so a ttl
-    /// configured later still applies to resident entries.
     std::chrono::steady_clock::time_point inserted;
   };
-  using Lru = std::list<Entry>;
+  using Lru = WeightedLru<std::string, Resident>;
   /// A computation in progress: the computing caller's key (alive on its
   /// stack until it removes this record, under the lock) and the future its
   /// race losers wait on.
@@ -188,24 +167,18 @@ class ScheduleCache {
     std::shared_future<Flight> flight;
   };
 
-  [[nodiscard]] Lru::const_iterator find_entry_locked(std::uint64_t hash,
-                                                      std::string_view key) const
+  /// The unexpired result under `key` (counting a hit and bumping recency),
+  /// or nullptr; an expired entry is dropped and counted as expired.
+  [[nodiscard]] ResultPtr probe_locked(std::uint64_t hash, std::string_view key)
       REQUIRES(mutex_);
-  [[nodiscard]] bool is_expired_locked(const Entry& entry) const REQUIRES(mutex_);
-  void erase_expired_locked(Lru::const_iterator it) REQUIRES(mutex_);
-  void evict_to_capacity_locked() REQUIRES(mutex_);
+  [[nodiscard]] bool is_expired(const Resident& resident) const;
   void end_flight_locked(std::uint64_t hash, const std::string* key) REQUIRES(mutex_);
 
-  mutable Mutex mutex_;
-  Lru lru_ GUARDED_BY(mutex_);  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::vector<Lru::const_iterator>> buckets_
-      GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, std::vector<InFlight>> in_flight_ GUARDED_BY(mutex_);
-  std::size_t capacity_ GUARDED_BY(mutex_);
   /// nullopt = never expire.
-  std::optional<std::chrono::nanoseconds> ttl_ GUARDED_BY(mutex_);
-  /// Σ entry weight, <= capacity_ outside evict.
-  std::size_t weight_ GUARDED_BY(mutex_) = 0;
+  const std::optional<std::chrono::nanoseconds> ttl_;
+  mutable Mutex mutex_;
+  Lru lru_ GUARDED_BY(mutex_);
+  std::unordered_map<std::uint64_t, std::vector<InFlight>> in_flight_ GUARDED_BY(mutex_);
   Stats stats_ GUARDED_BY(mutex_);
 };
 

@@ -16,14 +16,9 @@ std::shared_ptr<const ScheduleResult> SubgraphCache::find(std::uint64_t hash,
                                                           const std::string& context,
                                                           const std::string& form, bool delta) {
   const MutexLock lock(mutex_);
-  if (const auto bucket = buckets_.find(hash); bucket != buckets_.end()) {
-    for (const auto it : bucket->second) {
-      if (it->context == context && it->form == form) {
-        ++stats_.partition_hits;
-        lru_.splice(lru_.begin(), lru_, it);
-        return it->fragment;
-      }
-    }
+  if (const auto* fragment = lru_.find(hash, std::tie(context, form))) {
+    ++stats_.partition_hits;
+    return *fragment;
   }
   ++stats_.partition_misses;
   if (delta) ++stats_.delta_invalidated;
@@ -36,30 +31,14 @@ std::shared_ptr<const ScheduleResult> SubgraphCache::insert(std::uint64_t hash,
                                                             ScheduleResult fragment,
                                                             std::size_t weight) {
   auto owned = std::make_shared<const ScheduleResult>(std::move(fragment));
+  decltype(lru_)::Evicted evicted;
   const MutexLock lock(mutex_);
-  auto& bucket = buckets_[hash];
-  for (const auto it : bucket) {
-    if (it->context == context && it->form == form) {
-      return it->fragment;  // lost a benign compute race
-    }
-  }
-  if (weight > capacity_) return owned;  // would evict everything: refuse
-  lru_.push_front(Entry{hash, std::move(context), std::move(form), weight, owned});
-  bucket.push_back(lru_.begin());
-  weight_ += weight;
-  evict_to_capacity_locked();
-  return owned;
-}
-
-void SubgraphCache::evict_to_capacity_locked() {
-  while (weight_ > capacity_ && !lru_.empty()) {
-    const auto victim = std::prev(lru_.end());
-    auto& bucket = buckets_[victim->hash];
-    std::erase_if(bucket, [&victim](const auto it) { return it == victim; });
-    if (bucket.empty()) buckets_.erase(victim->hash);
-    weight_ -= victim->weight;
-    lru_.pop_back();
-  }
+  // The resident fragment if a concurrent insert won the race; the caller's
+  // own, uncached, if it outweighs the whole cache.
+  const auto* resident = lru_.insert(hash, Key(std::move(context), std::move(form)),
+                                     std::shared_ptr<const ScheduleResult>(owned), weight,
+                                     evicted);
+  return resident != nullptr ? *resident : owned;
 }
 
 void SubgraphCache::note_assembled(std::size_t fragment_count) {
@@ -79,7 +58,7 @@ std::size_t SubgraphCache::size() const {
 
 std::size_t SubgraphCache::total_weight() const {
   const MutexLock lock(mutex_);
-  return weight_;
+  return lru_.weight();
 }
 
 namespace {

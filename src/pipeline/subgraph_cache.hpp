@@ -1,17 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <tuple>
 
 #include "graph/serialization.hpp"
-#include "support/thread_annotations.hpp"
 #include "graph/task_graph.hpp"
 #include "pipeline/schedule_context.hpp"
 #include "pipeline/scheduler.hpp"
+#include "support/thread_annotations.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -38,7 +37,8 @@ namespace sts {
 /// wrong schedule.
 ///
 /// Thread-safe; entries are immutable once inserted and shared by pointer.
-/// Weight = partition node count, same size-aware policy as ScheduleCache.
+/// A WeightedLru holds them; weight = partition node count, the same
+/// size-aware policy as ScheduleCache.
 class SubgraphCache {
  public:
   struct Stats {
@@ -53,7 +53,7 @@ class SubgraphCache {
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
   explicit SubgraphCache(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity), canon_memo_(capacity) {}
+      : canon_memo_(capacity), lru_(capacity) {}
 
   SubgraphCache(const SubgraphCache&) = delete;
   SubgraphCache& operator=(const SubgraphCache&) = delete;
@@ -84,7 +84,6 @@ class SubgraphCache {
   [[nodiscard]] Stats stats() const EXCLUDES(mutex_);
   [[nodiscard]] std::size_t size() const EXCLUDES(mutex_);
   [[nodiscard]] std::size_t total_weight() const EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Canonicalization memo shared by every request served through this
   /// cache: schedule_with_subgraph_cache threads it into
@@ -94,23 +93,12 @@ class SubgraphCache {
   [[nodiscard]] PartitionCanonMemo& canon_memo() noexcept { return canon_memo_; }
 
  private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::string context;
-    std::string form;
-    std::size_t weight = 0;
-    std::shared_ptr<const ScheduleResult> fragment;
-  };
+  /// (context, form); a probe compares a tuple of references in place.
+  using Key = std::tuple<std::string, std::string>;
 
-  void evict_to_capacity_locked() REQUIRES(mutex_);
-
-  const std::size_t capacity_;
   PartitionCanonMemo canon_memo_;
   mutable Mutex mutex_;
-  std::list<Entry> lru_ GUARDED_BY(mutex_);  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>> buckets_
-      GUARDED_BY(mutex_);
-  std::size_t weight_ GUARDED_BY(mutex_) = 0;
+  WeightedLru<Key, std::shared_ptr<const ScheduleResult>> lru_ GUARDED_BY(mutex_);
   Stats stats_ GUARDED_BY(mutex_);
 };
 

@@ -7,56 +7,79 @@
 
 namespace sts {
 
+namespace {
+
+/// One cumulative counter of ServiceStats: its stats_json() wire key, its
+/// run in the document, and where it lives in the struct.
+struct Counter {
+  const char* key;
+  CounterGroup group;
+  std::uint64_t& (*field)(ServiceStats&);
+
+  [[nodiscard]] std::uint64_t read(const ServiceStats& stats) const {
+    // The accessor only forms a reference; reading through it leaves `stats`
+    // untouched.
+    return field(const_cast<ServiceStats&>(stats));
+  }
+};
+
+using enum CounterGroup;
+
+/// Every counter, once. Accumulating, parsing and both renderers loop over
+/// this table, so the wire format round-trips by construction.
+constexpr Counter kCounters[] = {
+    {"submitted", kJobs, [](auto& s) -> auto& { return s.submitted; }},
+    {"completed", kJobs, [](auto& s) -> auto& { return s.completed; }},
+    {"failed", kJobs, [](auto& s) -> auto& { return s.failed; }},
+    {"rejected", kJobs, [](auto& s) -> auto& { return s.rejected; }},
+    {"simulated", kJobs, [](auto& s) -> auto& { return s.simulated; }},
+    {"fast_path_hits", kJobs, [](auto& s) -> auto& { return s.fast_path_hits; }},
+    {"cache_hits", kResultCache, [](auto& s) -> auto& { return s.cache.hits; }},
+    {"cache_misses", kResultCache, [](auto& s) -> auto& { return s.cache.misses; }},
+    {"cache_races", kResultCache, [](auto& s) -> auto& { return s.cache.races; }},
+    {"cache_evictions", kResultCache, [](auto& s) -> auto& { return s.cache.evictions; }},
+    {"cache_evicted_weight", kResultCache, [](auto& s) -> auto& { return s.cache.evicted_weight; }},
+    {"cache_expired", kResultCache, [](auto& s) -> auto& { return s.cache.expired; }},
+    {"partition_hits", kFragments, [](auto& s) -> auto& { return s.subgraph.partition_hits; }},
+    {"partition_misses", kFragments, [](auto& s) -> auto& { return s.subgraph.partition_misses; }},
+    {"fragments_assembled", kFragments,
+     [](auto& s) -> auto& { return s.subgraph.fragments_assembled; }},
+    {"delta_invalidated", kFragments,
+     [](auto& s) -> auto& { return s.subgraph.delta_invalidated; }},
+    {"canon_hits", kFragments, [](auto& s) -> auto& { return s.canon.hits; }},
+    {"canon_misses", kFragments, [](auto& s) -> auto& { return s.canon.misses; }},
+};
+
+}  // namespace
+
 void accumulate_service_stats(ServiceStats& into, const ServiceStats& from) {
-  into.submitted += from.submitted;
-  into.completed += from.completed;
-  into.failed += from.failed;
-  into.rejected += from.rejected;
-  into.simulated += from.simulated;
-  into.fast_path_hits += from.fast_path_hits;
-  into.cache.hits += from.cache.hits;
-  into.cache.misses += from.cache.misses;
-  into.cache.races += from.cache.races;
-  into.cache.evictions += from.cache.evictions;
-  into.cache.evicted_weight += from.cache.evicted_weight;
-  into.cache.expired += from.cache.expired;
-  into.subgraph.partition_hits += from.subgraph.partition_hits;
-  into.subgraph.partition_misses += from.subgraph.partition_misses;
-  into.subgraph.fragments_assembled += from.subgraph.fragments_assembled;
-  into.subgraph.delta_invalidated += from.subgraph.delta_invalidated;
-  into.canon.hits += from.canon.hits;
-  into.canon.misses += from.canon.misses;
+  for (const Counter& counter : kCounters) counter.field(into) += counter.read(from);
   into.shard_max_depth.insert(into.shard_max_depth.end(), from.shard_max_depth.begin(),
                               from.shard_max_depth.end());
 }
 
+void append_stats_json_counters(std::string& json, const ServiceStats& stats,
+                                CounterGroup group) {
+  for (const Counter& counter : kCounters) {
+    if (counter.group != group) continue;
+    json += ", \"";
+    json += counter.key;
+    json += "\": ";
+    json += std::to_string(counter.read(stats));
+  }
+}
+
 ServiceStats service_stats_from_json(const JsonValue& json) {
-  const auto counter = [&json](const char* key) -> std::uint64_t {
-    const JsonValue* value = json.find(key);
-    if (value == nullptr) return 0;  // older server: counter not born yet
-    const std::int64_t v = value->as_int();
-    if (v < 0) throw std::invalid_argument(std::string("stats: negative counter ") + key);
-    return static_cast<std::uint64_t>(v);
-  };
   ServiceStats stats;
-  stats.submitted = counter("submitted");
-  stats.completed = counter("completed");
-  stats.failed = counter("failed");
-  stats.rejected = counter("rejected");
-  stats.simulated = counter("simulated");
-  stats.fast_path_hits = counter("fast_path_hits");
-  stats.cache.hits = counter("cache_hits");
-  stats.cache.misses = counter("cache_misses");
-  stats.cache.races = counter("cache_races");
-  stats.cache.evictions = counter("cache_evictions");
-  stats.cache.evicted_weight = counter("cache_evicted_weight");
-  stats.cache.expired = counter("cache_expired");
-  stats.subgraph.partition_hits = counter("partition_hits");
-  stats.subgraph.partition_misses = counter("partition_misses");
-  stats.subgraph.fragments_assembled = counter("fragments_assembled");
-  stats.subgraph.delta_invalidated = counter("delta_invalidated");
-  stats.canon.hits = counter("canon_hits");
-  stats.canon.misses = counter("canon_misses");
+  for (const Counter& counter : kCounters) {
+    const JsonValue* value = json.find(counter.key);
+    if (value == nullptr) continue;  // older server: counter not born yet
+    const std::int64_t v = value->as_int();
+    if (v < 0) {
+      throw std::invalid_argument(std::string("stats: negative counter ") + counter.key);
+    }
+    counter.field(stats) = static_cast<std::uint64_t>(v);
+  }
   if (const JsonValue* depths = json.find("shard_max_depth")) {
     stats.shard_max_depth.reserve(depths->items().size());
     for (const JsonValue& depth : depths->items()) {

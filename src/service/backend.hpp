@@ -21,7 +21,8 @@ class JsonValue;
 /// `ScheduleBackend` seam: an in-process ScheduleService fills them from its
 /// own atomics, a RemoteBackend parses them out of the server's `/stats`
 /// document (`service_stats_from_json`), and a ShardRouter sums them across
-/// its fleet (`accumulate_service_stats`).
+/// its fleet (`accumulate_service_stats`). A counter added here needs one row
+/// in the counter table of service/backend.cpp, which all three loop over.
 struct ServiceStats {
   std::uint64_t submitted = 0;  ///< all submission attempts, rejections included
   std::uint64_t completed = 0;  ///< finished jobs, failures included
@@ -41,6 +42,17 @@ struct ServiceStats {
 /// Sums every counter of `from` into `into`; shard high-water marks are
 /// concatenated (they are per-shard gauges, not additive).
 void accumulate_service_stats(ServiceStats& into, const ServiceStats& from);
+
+/// The three runs of counters in a stats_json() document: the job counters,
+/// the ScheduleCache counters, and the SubgraphCache plus canonicalization
+/// memo counters. Renderers interleave their gauges between the runs.
+enum class CounterGroup : std::uint8_t { kJobs, kResultCache, kFragments };
+
+/// Appends `, "<key>": <value>` for every counter of `group`, in the order of
+/// the counter table: how ScheduleService::render_stats_json and
+/// ShardRouter::stats_json write their counters.
+void append_stats_json_counters(std::string& json, const ServiceStats& stats,
+                                CounterGroup group);
 
 /// Parses a ScheduleService::render_stats_json-shaped document back into
 /// counters — how a RemoteBackend turns one `/stats` fetch into the same

@@ -10,6 +10,7 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/registry.hpp"
 #include "pipeline/schedule_context.hpp"
+#include "support/hash.hpp"
 #include "support/text.hpp"
 
 namespace sts {
@@ -17,7 +18,7 @@ namespace sts {
 ScheduleService::ScheduleService(ServiceConfig config)
     : cache_(config.cache_capacity, config.cache_ttl),
       queue_depth_(config.queue_depth),
-      base_registry_capacity_(config.base_registry_capacity) {
+      bases_(config.base_registry_capacity) {
   if (config.subgraph_cache_capacity > 0) {
     subgraph_cache_ = std::make_unique<SubgraphCache>(config.subgraph_cache_capacity);
   }
@@ -75,8 +76,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
         ++counters_.submitted;
         if (delta_simulate) ++counters_.simulated;
       }
-      failed.set_value(settled_from_flight(ScheduleCache::settle_current_exception()));
-      finish_one(true);
+      finish_one(failed, settled_from_flight(ScheduleCache::settle_current_exception()));
       return admission;
     }
   }
@@ -99,13 +99,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
   // Fast path: an already-completed result resolves synchronously without a
   // queue round trip. Admission control never refuses a cached answer.
   if (ResultPtr hit = cache_.try_get(key_hash, key)) {
-    promise.set_value(Settled{std::move(hit), {}, false, std::nullopt});
-    {
-      const MutexLock lock(stats_mutex_);
-      ++counters_.completed;
-      ++counters_.fast_path_hits;
-    }
-    idle_cv_.notify_all();
+    finish_one(promise, Settled{std::move(hit), {}, false, std::nullopt}, true);
     return admission;
   }
 
@@ -231,9 +225,7 @@ void ScheduleService::worker_loop(Shard& shard) {
     } catch (...) {
       settled = settled_from_flight(ScheduleCache::settle_current_exception());
     }
-    const bool failed = !settled.error.empty();
-    job.promise.set_value(std::move(settled));
-    finish_one(failed);
+    finish_one(job.promise, std::move(settled));
   }
 }
 
@@ -277,57 +269,49 @@ TaskGraph ScheduleService::materialize_delta(const ScheduleRequest& request) {
   return graph;
 }
 
-ScheduleService::Base* ScheduleService::touch_base_locked(const std::string& digest) {
-  const auto it = bases_.find(digest);
-  if (it == bases_.end()) return nullptr;
-  bases_lru_.splice(bases_lru_.begin(), bases_lru_, it->second);
-  return &it->second->base;
-}
-
 void ScheduleService::remember_base(const std::string& digest, const TaskGraph& graph,
                                     Validity validity) {
-  if (base_registry_capacity_ == 0) return;
+  const std::uint64_t hash = fnv1a64(digest);
   {
     const MutexLock lock(bases_mutex_);
     // Known digest: just refresh recency, sparing the graph copy.
-    if (touch_base_locked(digest) != nullptr) return;
+    if (bases_.capacity() == 0 || bases_.find(hash, digest) != nullptr) return;
   }
-  // Copy (and free evicted graphs) outside the lock, where it does not stall
-  // find_base on other submitting threads.
-  auto copy = std::make_shared<const TaskGraph>(graph);
-  std::vector<std::shared_ptr<const TaskGraph>> evicted;
+  // Copy outside the lock, where it does not stall find_base on other
+  // submitting threads. Declared before the lock, so a dropped copy and the
+  // evicted graphs are freed after it.
+  Base base{std::make_shared<const TaskGraph>(graph), validity};
+  BaseRegistry::Evicted evicted;
   const MutexLock lock(bases_mutex_);
   // A concurrent submission may have registered the digest meanwhile; its
   // entry stands and this copy is dropped.
-  if (touch_base_locked(digest) != nullptr) return;
-  bases_lru_.push_front(BaseEntry{digest, Base{std::move(copy), validity}});
-  bases_.emplace(digest, bases_lru_.begin());
-  while (bases_.size() > base_registry_capacity_) {
-    evicted.push_back(std::move(bases_lru_.back().base.graph));
-    bases_.erase(bases_lru_.back().digest);
-    bases_lru_.pop_back();
-  }
+  (void)bases_.insert(hash, std::string(digest), std::move(base), 1, evicted);
 }
 
 ScheduleService::Base ScheduleService::find_base(const std::string& digest) {
+  const std::uint64_t hash = fnv1a64(digest);
   const MutexLock lock(bases_mutex_);
-  const Base* base = touch_base_locked(digest);
+  const Base* base = bases_.find(hash, digest);
   return base != nullptr ? *base : Base{};
 }
 
 void ScheduleService::note_base_validity(const std::string& digest, const TaskGraph* graph,
                                          Validity validity) {
+  const std::uint64_t hash = fnv1a64(digest);
   const MutexLock lock(bases_mutex_);
-  if (Base* base = touch_base_locked(digest); base != nullptr && base->graph.get() == graph) {
+  if (Base* base = bases_.find(hash, digest); base != nullptr && base->graph.get() == graph) {
     base->validity = validity;
   }
 }
 
-void ScheduleService::finish_one(bool failed) {
+void ScheduleService::finish_one(std::promise<Settled>& promise, Settled settled,
+                                 bool fast_path) {
   {
     const MutexLock lock(stats_mutex_);
     ++counters_.completed;
-    if (failed) ++counters_.failed;
+    if (!settled.error.empty()) ++counters_.failed;
+    if (fast_path) ++counters_.fast_path_hits;
+    promise.set_value(std::move(settled));
   }
   idle_cv_.notify_all();
 }
@@ -380,10 +364,7 @@ double ScheduleService::uptime_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time_).count();
 }
 
-std::string ScheduleService::stats_json() const {
-  return render_stats_json(stats(), worker_count(), queue_depth_, cache_.size(),
-                           cache_.total_weight(), cache_.capacity(), uptime_seconds());
-}
+std::string ScheduleService::stats_json() const { return stats_snapshot().json; }
 
 ScheduleService::Snapshot ScheduleService::stats_snapshot() const {
   Snapshot snapshot;
@@ -405,12 +386,7 @@ std::string ScheduleService::render_stats_json(const Stats& s, std::size_t worke
   json += field("schema_version", kStatsSchemaVersion);
   json += ", \"uptime_seconds\": ";
   append_number(json, uptime < 0 ? 0.0 : uptime);
-  json += ", " + field("submitted", s.submitted);
-  json += ", " + field("completed", s.completed);
-  json += ", " + field("failed", s.failed);
-  json += ", " + field("rejected", s.rejected);
-  json += ", " + field("simulated", s.simulated);
-  json += ", " + field("fast_path_hits", s.fast_path_hits);
+  append_stats_json_counters(json, s, CounterGroup::kJobs);
   json += ", " + field("workers", workers);
   json += ", " + field("queue_depth_limit", queue_depth_limit);
   std::size_t peak = 0;
@@ -422,21 +398,11 @@ std::string ScheduleService::render_stats_json(const Stats& s, std::size_t worke
   }
   json += "]";
   json += ", " + field("max_queue_depth", peak);
-  json += ", " + field("cache_hits", s.cache.hits);
-  json += ", " + field("cache_misses", s.cache.misses);
-  json += ", " + field("cache_races", s.cache.races);
-  json += ", " + field("cache_evictions", s.cache.evictions);
-  json += ", " + field("cache_evicted_weight", s.cache.evicted_weight);
-  json += ", " + field("cache_expired", s.cache.expired);
+  append_stats_json_counters(json, s, CounterGroup::kResultCache);
   json += ", " + field("cache_size", cache_size);
   json += ", " + field("cache_weight", cache_weight);
   json += ", " + field("cache_capacity", cache_capacity);
-  json += ", " + field("partition_hits", s.subgraph.partition_hits);
-  json += ", " + field("partition_misses", s.subgraph.partition_misses);
-  json += ", " + field("fragments_assembled", s.subgraph.fragments_assembled);
-  json += ", " + field("delta_invalidated", s.subgraph.delta_invalidated);
-  json += ", " + field("canon_hits", s.canon.hits);
-  json += ", " + field("canon_misses", s.canon.misses);
+  append_stats_json_counters(json, s, CounterGroup::kFragments);
   json += "}";
   return json;
 }

@@ -5,13 +5,11 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <list>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +20,7 @@
 #include "service/request.hpp"
 #include "sim/dataflow_sim.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -193,7 +192,11 @@ class ScheduleService : public ScheduleBackend {
 
   [[nodiscard]] ScheduleResult compute_job(const Job& job);
   void worker_loop(Shard& shard) EXCLUDES(stats_mutex_);
-  void finish_one(bool failed) EXCLUDES(stats_mutex_);
+  /// Counts a settled job and publishes its value in one stats_mutex_
+  /// critical section: a caller holding the value always finds it counted,
+  /// and wait_idle() returning implies every future is ready.
+  void finish_one(std::promise<Settled>& promise, Settled settled, bool fast_path = false)
+      EXCLUDES(stats_mutex_);
 
   /// What the base registry knows of a stored graph's validate() result.
   enum class Validity : std::uint8_t { kUnknown, kValid, kInvalid };
@@ -201,10 +204,8 @@ class ScheduleService : public ScheduleBackend {
     std::shared_ptr<const TaskGraph> graph;  ///< null = digest not registered
     Validity validity = Validity::kUnknown;
   };
-  struct BaseEntry {
-    std::string digest;
-    Base base;
-  };
+  /// Digest -> materialized graph, bucketed by fnv1a64 of the digest.
+  using BaseRegistry = WeightedLru<std::string, Base>;
 
   /// Resolves a delta request's base, applies its edits and validates the
   /// composed graph. Throws std::invalid_argument on an unknown base, a bad
@@ -213,9 +214,9 @@ class ScheduleService : public ScheduleBackend {
       EXCLUDES(bases_mutex_);
 
   /// Remembers `graph` as a possible delta base under the request digest
-  /// (bounded LRU; an already-known digest is just refreshed, sparing the
-  /// graph copy on repeated submissions of one scenario). The copy is made
-  /// outside the registry lock.
+  /// (an already-known digest is just refreshed, sparing the graph copy on
+  /// repeated submissions of one scenario). The copy is made outside the
+  /// registry lock.
   void remember_base(const std::string& digest, const TaskGraph& graph, Validity validity)
       EXCLUDES(bases_mutex_);
   [[nodiscard]] Base find_base(const std::string& digest) EXCLUDES(bases_mutex_);
@@ -223,8 +224,6 @@ class ScheduleService : public ScheduleBackend {
   /// the digest has since been re-registered with another graph object.
   void note_base_validity(const std::string& digest, const TaskGraph* graph, Validity validity)
       EXCLUDES(bases_mutex_);
-  /// The entry under `digest` moved to the LRU front, or nullptr.
-  [[nodiscard]] Base* touch_base_locked(const std::string& digest) REQUIRES(bases_mutex_);
 
   ScheduleCache cache_;
   std::unique_ptr<SubgraphCache> subgraph_cache_;  ///< null = disabled
@@ -234,12 +233,9 @@ class ScheduleService : public ScheduleBackend {
   std::atomic<bool> stopping_{false};
   const std::chrono::steady_clock::time_point start_time_ = std::chrono::steady_clock::now();
 
-  /// Base-request registry for delta resolution: digest -> materialized graph.
+  /// Base-request registry for delta resolution, one weight per entry.
   mutable Mutex bases_mutex_;
-  std::list<BaseEntry> bases_lru_ GUARDED_BY(bases_mutex_);
-  std::unordered_map<std::string, decltype(bases_lru_)::iterator> bases_
-      GUARDED_BY(bases_mutex_);
-  std::size_t base_registry_capacity_ = 0;
+  BaseRegistry bases_ GUARDED_BY(bases_mutex_);
 
   mutable Mutex stats_mutex_;
   CondVar idle_cv_;  ///< signalled on every job completion/rejection

@@ -235,25 +235,10 @@ std::string ShardRouter::stats_json() const {
   json += ", \"uptime_seconds\": ";
   append_number(json, uptime_seconds());
   json += ", " + field("backends", live);
-  json += ", " + field("submitted", s.submitted);
-  json += ", " + field("completed", s.completed);
-  json += ", " + field("failed", s.failed);
-  json += ", " + field("rejected", s.rejected);
-  json += ", " + field("simulated", s.simulated);
-  json += ", " + field("fast_path_hits", s.fast_path_hits);
-  json += ", " + field("cache_hits", s.cache.hits);
-  json += ", " + field("cache_misses", s.cache.misses);
-  json += ", " + field("cache_races", s.cache.races);
-  json += ", " + field("cache_evictions", s.cache.evictions);
-  json += ", " + field("cache_evicted_weight", s.cache.evicted_weight);
-  json += ", " + field("cache_expired", s.cache.expired);
+  append_stats_json_counters(json, s, CounterGroup::kJobs);
+  append_stats_json_counters(json, s, CounterGroup::kResultCache);
   json += ", " + field("cache_weight", cache_weight);
-  json += ", " + field("partition_hits", s.subgraph.partition_hits);
-  json += ", " + field("partition_misses", s.subgraph.partition_misses);
-  json += ", " + field("fragments_assembled", s.subgraph.fragments_assembled);
-  json += ", " + field("delta_invalidated", s.subgraph.delta_invalidated);
-  json += ", " + field("canon_hits", s.canon.hits);
-  json += ", " + field("canon_misses", s.canon.misses);
+  append_stats_json_counters(json, s, CounterGroup::kFragments);
   std::size_t peak = 0;
   for (const std::size_t depth : s.shard_max_depth) peak = std::max(peak, depth);
   json += ", " + field("max_queue_depth", peak);

@@ -349,15 +349,6 @@ TEST(ScheduleCache, RenamedNodesStillHit) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(ScheduleCache, ClearResetsEntriesAndStats) {
-  ScheduleCache cache;
-  (void)cache.get_or_schedule(testing::figure8_graph(), "streaming-rlx", machine_with(8));
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-}
-
 TEST(ScheduleCacheKey, FingerprintDiffersForDifferentGraphs) {
   const std::string a = canonical_cache_key(testing::figure8_graph(), "streaming-rlx",
                                             machine_with(8));

@@ -39,7 +39,6 @@ std::function<ScheduleResult()> counted_result(std::atomic<int>& counter,
 TEST(ScheduleCacheLru, RejectsZeroCapacity) {
   EXPECT_THROW(ScheduleCache(0), std::invalid_argument);
   ScheduleCache cache(4);
-  EXPECT_THROW(cache.set_capacity(0), std::invalid_argument);
   EXPECT_EQ(cache.capacity(), 4u);
 }
 
@@ -84,21 +83,6 @@ TEST(ScheduleCacheLru, EvictedKeyRecomputes) {
   EXPECT_EQ(computed.load(), 3);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST(ScheduleCacheLru, SetCapacityShrinksAndEvicts) {
-  ScheduleCache cache(8);
-  std::atomic<int> computed{0};
-  for (int i = 0; i < 8; ++i) {
-    (void)cache.get_or_compute("key" + std::to_string(i), counted_result(computed, i + 1));
-  }
-  EXPECT_EQ(cache.size(), 8u);
-  cache.set_capacity(2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 6u);
-  EXPECT_TRUE(cache.contains("key7"));
-  EXPECT_TRUE(cache.contains("key6"));
-  EXPECT_FALSE(cache.contains("key0"));
 }
 
 TEST(ScheduleCacheLru, TryGetMissesAreNotCountedAsMisses) {
@@ -271,21 +255,6 @@ TEST(ScheduleCacheWeighted, OversizeEntryIsDroppedImmediately) {
   EXPECT_GE(cache.stats().evicted_weight, 20u);
 }
 
-TEST(ScheduleCacheWeighted, SetCapacityShrinksByWeight) {
-  ScheduleCache cache(100);
-  std::atomic<int> computed{0};
-  for (int i = 0; i < 5; ++i) {
-    (void)cache.get_or_compute("w10-" + std::to_string(i), counted_result(computed, i), 10);
-  }
-  EXPECT_EQ(cache.total_weight(), 50u);
-  cache.set_capacity(25);
-  EXPECT_LE(cache.total_weight(), 25u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.contains("w10-4"));
-  EXPECT_TRUE(cache.contains("w10-3"));
-  EXPECT_EQ(cache.stats().evicted_weight, 30u);
-}
-
 TEST(ScheduleCacheWeighted, ZeroWeightIsClampedToOne) {
   ScheduleCache cache(2);
   std::atomic<int> computed{0};
@@ -302,7 +271,6 @@ TEST(ScheduleCacheWeighted, ZeroWeightIsClampedToOne) {
 
 TEST(ScheduleCacheTtl, NoTtlNeverExpires) {
   ScheduleCache cache(8);
-  EXPECT_FALSE(cache.ttl().has_value());
   std::atomic<int> computed{0};
   (void)cache.get_or_compute("k", counted_result(computed, 1));
   ASSERT_NE(cache.try_get("k"), nullptr);
@@ -359,20 +327,6 @@ TEST(ScheduleCacheTtl, LongTtlKeepsEntriesAlive) {
   EXPECT_EQ(computed.load(), 1);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().expired, 0u);
-}
-
-TEST(ScheduleCacheTtl, SetTtlAppliesToResidentEntries) {
-  ScheduleCache cache(8);
-  std::atomic<int> computed{0};
-  (void)cache.get_or_compute("k", counted_result(computed, 1));
-  ASSERT_TRUE(cache.contains("k"));
-  cache.set_ttl(std::chrono::nanoseconds{0});
-  ASSERT_TRUE(cache.ttl().has_value());
-  EXPECT_EQ(cache.try_get("k"), nullptr) << "insertion times predate the ttl change";
-  cache.set_ttl(std::nullopt);
-  (void)cache.get_or_compute("k", counted_result(computed, 2));
-  ASSERT_NE(cache.try_get("k"), nullptr) << "clearing the ttl disables expiry again";
-  EXPECT_EQ(computed.load(), 2);
 }
 
 // ------------------------------------------------ caller-supplied key hashes

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "paper_examples.hpp"
@@ -234,6 +236,45 @@ TEST(ScheduleService, StatsJsonCarriesCacheWeight) {
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"cache_evicted_weight\": 0"), std::string::npos) << json;
+}
+
+TEST(ScheduleService, StatsCountEveryResultItsCallerHolds) {
+  // A caller that holds a result must find it counted in stats(): the
+  // service counts a job's completion in the same critical section that
+  // publishes its value. Every request is a distinct cache miss, so it runs
+  // on a worker; a background reader keeps the stats lock busy, which widens
+  // any window between publishing a value and counting it.
+  ServiceConfig config;
+  config.num_workers = 4;
+  ScheduleService service(config);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) (void)service.stats();
+  });
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 300;
+  std::atomic<std::uint64_t> returned{0};
+  std::atomic<int> uncounted{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const ScheduleResponse response = service.schedule(
+            request_for(testing::figure8_graph(), "streaming-rlx", 1 + c * kPerClient + i));
+        if (!response.ok()) ++failed;
+        // Every result counted in `held` was returned before this read.
+        const std::uint64_t held = returned.fetch_add(1) + 1;
+        if (service.stats().completed < held) ++uncounted;
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(uncounted.load(), 0) << "a result was returned before it was counted";
+  EXPECT_EQ(service.stats().completed, static_cast<std::uint64_t>(kClients * kPerClient));
 }
 
 TEST(ScheduleService, DefaultsToHardwareConcurrency) {

@@ -16,15 +16,7 @@ violation. Enforced rules:
     these; perf gates read them), via BenchReport("<name>") or a literal
     "BENCH_<name>.json" write.
 
- 4. The stats wire format round-trips: every cumulative counter key that
-    ScheduleService::render_stats_json() emits must be parsed back by
-    service_stats_from_json() (RemoteBackend scrapes /stats through it, and a
-    key the parser ignores silently zeroes that counter in every router
-    aggregate), and the parser must not read keys the renderer never writes.
-    Gauges (workers, cache_weight, ...) are point-in-time values read through
-    other paths and are allowlisted.
-
- 5. The request key is hashed once. ScheduleRequest::key() computes
+ 4. The request key is hashed once. ScheduleRequest::key() computes
     fnv1a64 of the key beside the key itself (service/request.cpp), and the
     shard index, the ScheduleCache buckets and ShardRouter routing all take
     that memoized key_hash(): on a large graph the key is megabytes, and
@@ -56,26 +48,6 @@ def strip_comments(text: str) -> str:
     project string literals in a misleading way)."""
     text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
     return re.sub(r"//[^\n]*", "", text)
-
-
-def function_bodies(text: str, names: tuple[str, ...]):
-    """Yields (name, body) for every definition of a function whose unqualified
-    name is in `names`, by brace tracking from the definition's opening brace."""
-    pattern = re.compile(
-        r"\b(?:[\w~]+\s*::\s*)*(" + "|".join(names) + r")\s*\(([^;{)]*)\)\s*"
-        r"(?:const\s*)?(?:noexcept\s*)?(?:->\s*[\w:<>&\s]+)?\{"
-    )
-    for match in pattern.finditer(text):
-        start = match.end() - 1  # the '{'
-        depth = 0
-        for i in range(start, len(text)):
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    yield match.group(1), text[start : i + 1]
-                    break
 
 
 def stats_counters() -> list[tuple[Path, str]]:
@@ -161,53 +133,6 @@ def check_bench_reports(errors: list[str]) -> None:
             )
 
 
-# Point-in-time gauges in the /stats document: not cumulative ServiceStats
-# counters, so service_stats_from_json() intentionally skips them (workers and
-# cache_weight are read through dedicated paths by RemoteBackend).
-STATS_GAUGE_KEYS = {
-    "schema_version",
-    "uptime_seconds",
-    "workers",
-    "queue_depth_limit",
-    "max_queue_depth",
-    "cache_size",
-    "cache_weight",
-    "cache_capacity",
-}
-
-
-def check_stats_wire_round_trip(errors: list[str]) -> None:
-    renderer_path = SRC / "service" / "schedule_service.cpp"
-    parser_path = SRC / "service" / "backend.cpp"
-    rendered: set[str] = set()
-    for name, body in function_bodies(renderer_path.read_text(), ("render_stats_json",)):
-        rendered.update(re.findall(r'field\("(\w+)"', body))
-        rendered.update(re.findall(r'\\"(\w+)\\"', body))
-    parsed: set[str] = set()
-    for name, body in function_bodies(parser_path.read_text(), ("service_stats_from_json",)):
-        parsed.update(re.findall(r'counter\("(\w+)"\)', body))
-        parsed.update(re.findall(r'find\("(\w+)"\)', body))
-    if not rendered:
-        fail(errors, f"{renderer_path.relative_to(REPO)}: render_stats_json() not found")
-        return
-    if not parsed:
-        fail(errors, f"{parser_path.relative_to(REPO)}: service_stats_from_json() not found")
-        return
-    for key in sorted(rendered - parsed - STATS_GAUGE_KEYS):
-        fail(
-            errors,
-            f"{renderer_path.relative_to(REPO)}: stats key `{key}` is rendered but "
-            "never parsed by service_stats_from_json() — remote scrapes drop it "
-            "(parse it, or allowlist it in STATS_GAUGE_KEYS if it is a gauge)",
-        )
-    for key in sorted(parsed - rendered):
-        fail(
-            errors,
-            f"{parser_path.relative_to(REPO)}: service_stats_from_json() reads "
-            f"`{key}`, which render_stats_json() never writes",
-        )
-
-
 KEY_HASH_OWNER = SRC / "service" / "request.cpp"
 KEY_CALL = re.compile(r"\b(?:release_)?key\(\)")
 
@@ -253,7 +178,6 @@ def main() -> int:
     check_stats_surfaced(errors)
     check_sim_internal_private(errors)
     check_bench_reports(errors)
-    check_stats_wire_round_trip(errors)
     check_key_hashed_once(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
